@@ -72,7 +72,6 @@ def test_ablation_batching(benchmark):
 if __name__ == "__main__":
     import sys
 
-    from repro.bench.tracing import NullBenchmark, standalone_main
+    from repro.bench.cli import script_main
 
-    sys.exit(standalone_main(lambda: test_ablation_batching(NullBenchmark()),
-                             "ablation: request batching", prefix="ablation-batching"))
+    sys.exit(script_main(test_ablation_batching, "ablation-batching"))

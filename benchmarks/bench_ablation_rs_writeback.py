@@ -86,7 +86,6 @@ def test_ablation_rs_read_writeback(benchmark):
 if __name__ == "__main__":
     import sys
 
-    from repro.bench.tracing import NullBenchmark, standalone_main
+    from repro.bench.cli import script_main
 
-    sys.exit(standalone_main(lambda: test_ablation_rs_read_writeback(NullBenchmark()),
-                             "ablation: RS read writeback", prefix="ablation-rs-writeback"))
+    sys.exit(script_main(test_ablation_rs_read_writeback, "ablation-rs-writeback"))

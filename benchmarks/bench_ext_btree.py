@@ -74,7 +74,6 @@ def test_ext_btree_lookup_modes(benchmark):
 if __name__ == "__main__":
     import sys
 
-    from repro.bench.tracing import NullBenchmark, standalone_main
+    from repro.bench.cli import script_main
 
-    sys.exit(standalone_main(lambda: test_ext_btree_lookup_modes(NullBenchmark()),
-                             "extension: B-tree lookup modes", prefix="ext-btree"))
+    sys.exit(script_main(test_ext_btree_lookup_modes, "ext-btree"))

@@ -79,7 +79,6 @@ def test_ext_sharded_tx_scaling(benchmark):
 if __name__ == "__main__":
     import sys
 
-    from repro.bench.tracing import NullBenchmark, standalone_main
+    from repro.bench.cli import script_main
 
-    sys.exit(standalone_main(lambda: test_ext_sharded_tx_scaling(NullBenchmark()),
-                             "extension: sharded TX scaling", prefix="ext-sharded-tx"))
+    sys.exit(script_main(test_ext_sharded_tx_scaling, "ext-sharded-tx"))

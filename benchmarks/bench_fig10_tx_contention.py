@@ -5,33 +5,16 @@ conflict aborts) grows, but PRISM-TX maintains its advantage over FaRM
 at every contention level.
 """
 
-from repro.bench.harness import run_point
+from repro.bench.figures import FIGURES, peak
 from repro.bench.reporting import print_table
-from repro.workload import YcsbTransactionalWorkload
 
-N_KEYS = 4_000
-CLIENTS = [24, 96, 176]  # peak = max over the client sweep, as the paper
-ZIPFS = [0.0, 0.6, 0.9, 1.2]
-
-
-def _workload_factory(zipf):
-    def make(index):
-        return YcsbTransactionalWorkload(N_KEYS, keys_per_txn=1, zipf=zipf,
-                                         seed=29, client_id=index)
-    return make
+FIG = FIGURES["fig10"]
+ZIPFS = FIG.zipfs
 
 
 def _run():
-    results = {}
-    for zipf in ZIPFS:
-        for flavor in ("prism-sw", "farm-hw"):
-            points = [run_point("tx", flavor, _workload_factory(zipf), n,
-                                n_keys=N_KEYS, warmup_us=300.0,
-                                measure_us=1200.0)
-                      for n in CLIENTS]
-            best = max(points, key=lambda r: r.throughput_ops_per_sec)
-            results[(zipf, flavor)] = best
-    return results
+    return {(zipf, flavor): peak(FIG.sweep(flavor, zipf))
+            for zipf in ZIPFS for flavor in FIG.flavors}
 
 
 def test_fig10_tx_contention(benchmark):
@@ -67,7 +50,6 @@ def test_fig10_tx_contention(benchmark):
 if __name__ == "__main__":
     import sys
 
-    from repro.bench.tracing import NullBenchmark, standalone_main
+    from repro.bench.cli import figure_main
 
-    sys.exit(standalone_main(lambda: test_fig10_tx_contention(NullBenchmark()),
-                             "fig10: transaction contention", prefix="fig10"))
+    sys.exit(figure_main("fig10"))

@@ -66,7 +66,6 @@ def test_fig1_primitive_latencies(benchmark):
 if __name__ == "__main__":
     import sys
 
-    from repro.bench.tracing import NullBenchmark, standalone_main
+    from repro.bench.cli import figure_main
 
-    sys.exit(standalone_main(lambda: test_fig1_primitive_latencies(NullBenchmark()),
-                             "fig1: primitive latency microbench", prefix="fig1"))
+    sys.exit(figure_main("fig1"))

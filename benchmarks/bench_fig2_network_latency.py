@@ -55,7 +55,6 @@ def test_fig2_indirect_read_vs_network(benchmark):
 if __name__ == "__main__":
     import sys
 
-    from repro.bench.tracing import NullBenchmark, standalone_main
+    from repro.bench.cli import figure_main
 
-    sys.exit(standalone_main(lambda: test_fig2_indirect_read_vs_network(NullBenchmark()),
-                             "fig2: indirect read vs network tier", prefix="fig2"))
+    sys.exit(figure_main("fig2"))

@@ -6,7 +6,7 @@ saturate the 40 GbE link, with PRISM-KV's single smaller reply giving
 it ~22% higher read throughput.
 """
 
-from repro.bench.harness import run_point, sweep_clients
+from repro.bench.figures import FIGURES
 from repro.bench.reporting import (
     CURVE_HEADERS,
     curve_rows,
@@ -15,27 +15,18 @@ from repro.bench.reporting import (
     peak_throughput,
     print_table,
 )
-from repro.workload import YCSB_C
 
-N_KEYS = 8_000
-CLIENTS = [1, 8, 32, 96, 176]
-SYSTEMS = ["prism-sw", "pilaf-hw", "pilaf-sw"]
-
-
-def _workload(index):
-    return YCSB_C(N_KEYS, seed=11, client_id=index)
+FIG = FIGURES["fig3"]
 
 
 def _run():
-    return {flavor: sweep_clients("kv", flavor, _workload, CLIENTS,
-                                  n_keys=N_KEYS)
-            for flavor in SYSTEMS}
+    return {flavor: FIG.sweep(flavor) for flavor in FIG.flavors}
 
 
 def test_fig3_kv_read_only(benchmark):
     curves = benchmark.pedantic(_run, rounds=1, iterations=1)
     maybe_export("fig3", curves)
-    for flavor in SYSTEMS:
+    for flavor in FIG.flavors:
         print_table(f"Fig. 3: {flavor}, YCSB-C uniform",
                     CURVE_HEADERS, curve_rows(curves[flavor]))
     prism = curves["prism-sw"]
@@ -68,10 +59,6 @@ def test_fig3_kv_read_only(benchmark):
 if __name__ == "__main__":
     import sys
 
-    from repro.bench.tracing import bench_main
+    from repro.bench.cli import figure_main
 
-    sys.exit(bench_main(
-        "kv", "prism-sw",
-        lambda keys: (lambda i: YCSB_C(keys, seed=11, client_id=i)),
-        "Fig. 3 point: PRISM-KV (sw), YCSB-C uniform",
-        seed=11, benchmark="fig3"))
+    sys.exit(figure_main("fig3"))

@@ -6,7 +6,7 @@ mixed-workload latency — but PRISM-KV matches Pilaf's peak throughput
 while using no server CPU on the data path.
 """
 
-from repro.bench.harness import sweep_clients
+from repro.bench.figures import FIGURES
 from repro.bench.reporting import (
     CURVE_HEADERS,
     curve_rows,
@@ -15,27 +15,18 @@ from repro.bench.reporting import (
     peak_throughput,
     print_table,
 )
-from repro.workload import YCSB_A
 
-N_KEYS = 8_000
-CLIENTS = [1, 8, 32, 96, 176]
-SYSTEMS = ["prism-sw", "pilaf-hw", "pilaf-sw"]
-
-
-def _workload(index):
-    return YCSB_A(N_KEYS, seed=13, client_id=index)
+FIG = FIGURES["fig4"]
 
 
 def _run():
-    return {flavor: sweep_clients("kv", flavor, _workload, CLIENTS,
-                                  n_keys=N_KEYS)
-            for flavor in SYSTEMS}
+    return {flavor: FIG.sweep(flavor) for flavor in FIG.flavors}
 
 
 def test_fig4_kv_mixed(benchmark):
     curves = benchmark.pedantic(_run, rounds=1, iterations=1)
     maybe_export("fig4", curves)
-    for flavor in SYSTEMS:
+    for flavor in FIG.flavors:
         print_table(f"Fig. 4: {flavor}, YCSB-A uniform",
                     CURVE_HEADERS, curve_rows(curves[flavor]))
     prism = curves["prism-sw"]
@@ -66,10 +57,6 @@ def test_fig4_kv_mixed(benchmark):
 if __name__ == "__main__":
     import sys
 
-    from repro.bench.tracing import bench_main
+    from repro.bench.cli import figure_main
 
-    sys.exit(bench_main(
-        "kv", "prism-sw",
-        lambda keys: (lambda i: YCSB_A(keys, seed=13, client_id=i)),
-        "Fig. 4 point: PRISM-KV (sw), YCSB-A uniform",
-        seed=13, benchmark="fig4"))
+    sys.exit(figure_main("fig4"))

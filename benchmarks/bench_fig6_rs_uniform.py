@@ -6,7 +6,7 @@ and ~4 Mops/s higher at saturation — even against ABDLOCK on hardware
 RDMA.
 """
 
-from repro.bench.harness import sweep_clients
+from repro.bench.figures import FIGURES
 from repro.bench.reporting import (
     CURVE_HEADERS,
     curve_rows,
@@ -15,27 +15,18 @@ from repro.bench.reporting import (
     peak_throughput,
     print_table,
 )
-from repro.workload import YCSB_A
 
-N_KEYS = 8_000
-CLIENTS = [1, 8, 32, 96, 176]
-SYSTEMS = ["prism-sw", "abdlock-hw", "abdlock-sw"]
-
-
-def _workload(index):
-    return YCSB_A(N_KEYS, seed=17, client_id=index)
+FIG = FIGURES["fig6"]
 
 
 def _run():
-    return {flavor: sweep_clients("rs", flavor, _workload, CLIENTS,
-                                  n_keys=N_KEYS)
-            for flavor in SYSTEMS}
+    return {flavor: FIG.sweep(flavor) for flavor in FIG.flavors}
 
 
 def test_fig6_rs_uniform(benchmark):
     curves = benchmark.pedantic(_run, rounds=1, iterations=1)
     maybe_export("fig6", curves)
-    for flavor in SYSTEMS:
+    for flavor in FIG.flavors:
         print_table(f"Fig. 6: {flavor}, 50% writes uniform",
                     CURVE_HEADERS, curve_rows(curves[flavor]))
     prism = curves["prism-sw"]
@@ -64,10 +55,6 @@ def test_fig6_rs_uniform(benchmark):
 if __name__ == "__main__":
     import sys
 
-    from repro.bench.tracing import bench_main
+    from repro.bench.cli import figure_main
 
-    sys.exit(bench_main(
-        "rs", "prism-sw",
-        lambda keys: (lambda i: YCSB_A(keys, seed=17, client_id=i)),
-        "Fig. 6 point: PRISM-RS (sw), 50% writes uniform",
-        strict_sum=False, seed=17, benchmark="fig6"))
+    sys.exit(figure_main("fig6"))

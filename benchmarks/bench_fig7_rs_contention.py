@@ -6,32 +6,17 @@ while PRISM-RS stays flat at any contention level — its CAS_GT install
 never blocks.
 """
 
-from repro.bench.harness import run_point
+from repro.bench.figures import FIGURES, peak
 from repro.bench.reporting import print_table
-from repro.workload import YcsbWorkload
 
-N_KEYS = 4_000
-N_CLIENTS = 100
-ZIPFS = [0.0, 0.5, 0.9, 1.2]
-
-
-def _workload_factory(zipf):
-    def make(index):
-        return YcsbWorkload(N_KEYS, read_fraction=0.5, zipf=zipf,
-                            seed=19, client_id=index)
-    return make
+FIG = FIGURES["fig7"]
+ZIPFS = FIG.zipfs
 
 
 def _run():
-    results = {}
-    for zipf in ZIPFS:
-        for flavor in ("prism-sw", "abdlock-hw"):
-            # A longer window so lock-convoy victims complete inside the
-            # measurement period (their latency belongs in the mean).
-            results[(zipf, flavor)] = run_point(
-                "rs", flavor, _workload_factory(zipf), N_CLIENTS,
-                n_keys=N_KEYS, warmup_us=300.0, measure_us=2500.0)
-    return results
+    # One client count (100), so the "peak" is that single point.
+    return {(zipf, flavor): peak(FIG.sweep(flavor, zipf))
+            for zipf in ZIPFS for flavor in FIG.flavors}
 
 
 def test_fig7_rs_contention(benchmark):
@@ -59,7 +44,6 @@ def test_fig7_rs_contention(benchmark):
 if __name__ == "__main__":
     import sys
 
-    from repro.bench.tracing import NullBenchmark, standalone_main
+    from repro.bench.cli import figure_main
 
-    sys.exit(standalone_main(lambda: test_fig7_rs_contention(NullBenchmark()),
-                             "fig7: replicated-store contention", prefix="fig7"))
+    sys.exit(figure_main("fig7"))

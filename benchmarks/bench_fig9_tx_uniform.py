@@ -6,7 +6,7 @@ accesses and three-phase commit with two RPCs — 5.5 µs lower latency
 and ~1 M more transactions per second at saturation.
 """
 
-from repro.bench.harness import sweep_clients
+from repro.bench.figures import FIGURES
 from repro.bench.reporting import (
     CURVE_HEADERS,
     curve_rows,
@@ -15,28 +15,18 @@ from repro.bench.reporting import (
     peak_throughput,
     print_table,
 )
-from repro.workload import YcsbTransactionalWorkload
 
-N_KEYS = 8_000
-CLIENTS = [1, 8, 32, 96, 176, 288]
-SYSTEMS = ["prism-sw", "farm-hw", "farm-sw"]
-
-
-def _workload(index):
-    return YcsbTransactionalWorkload(N_KEYS, keys_per_txn=1, zipf=0.0,
-                                     seed=23, client_id=index)
+FIG = FIGURES["fig9"]
 
 
 def _run():
-    return {flavor: sweep_clients("tx", flavor, _workload, CLIENTS,
-                                  n_keys=N_KEYS)
-            for flavor in SYSTEMS}
+    return {flavor: FIG.sweep(flavor) for flavor in FIG.flavors}
 
 
 def test_fig9_tx_uniform(benchmark):
     curves = benchmark.pedantic(_run, rounds=1, iterations=1)
     maybe_export("fig9", curves)
-    for flavor in SYSTEMS:
+    for flavor in FIG.flavors:
         print_table(f"Fig. 9: {flavor}, YCSB-T uniform",
                     CURVE_HEADERS, curve_rows(curves[flavor]))
     prism = curves["prism-sw"]
@@ -60,11 +50,6 @@ def test_fig9_tx_uniform(benchmark):
 if __name__ == "__main__":
     import sys
 
-    from repro.bench.tracing import bench_main
+    from repro.bench.cli import figure_main
 
-    sys.exit(bench_main(
-        "tx", "prism-sw",
-        lambda keys: (lambda i: YcsbTransactionalWorkload(
-            keys, keys_per_txn=1, zipf=0.0, seed=23, client_id=i)),
-        "Fig. 9 point: PRISM-TX (sw), YCSB-T uniform",
-        seed=23, benchmark="fig9"))
+    sys.exit(figure_main("fig9"))

@@ -43,7 +43,6 @@ def test_motivation_numbers(benchmark):
 if __name__ == "__main__":
     import sys
 
-    from repro.bench.tracing import NullBenchmark, standalone_main
+    from repro.bench.cli import figure_main
 
-    sys.exit(standalone_main(lambda: test_motivation_numbers(NullBenchmark()),
-                             "motivation: RPCs vs memory accesses", prefix="motivation"))
+    sys.exit(figure_main("motivation"))

@@ -57,8 +57,9 @@ SCHEMA = "repro-bench-result"
 #: throughput/latency/counters, MSER steady-state block, changepoint
 #: annotations; see :mod:`repro.obs.series`). v5 (additive over v4):
 #: points may carry "wall" (wall-clock cost of the simulated run:
-#: wall_s, events_executed, events_per_sec) — recorded on every run,
-#: unlike the richer "host" section which needs ``--profile``. v6
+#: wall_s, events_executed, events_per_sec) — recorded on every run of
+#: every entry point, unlike the richer "host" section which needs
+#: ``--profile``. v6
 #: (additive over v5): points may carry "views" (the online
 #: sliding-window telemetry report: end-of-run window rates, per-conn
 #: EWMAs, hot keys, and the shadow-probe decision log; see
@@ -109,8 +110,10 @@ def git_commit():
     return out.stdout.strip()
 
 
-def point_id(kind, flavor, clients):
-    return f"{kind}/{flavor}/c{clients}"
+def point_id(kind, flavor, clients, zipf=None):
+    """``kind/flavor/cN``, plus ``/zipfZ`` for a point of a Zipf sweep."""
+    suffix = "" if zipf is None else f"/zipf{zipf:g}"
+    return f"{kind}/{flavor}/c{clients}{suffix}"
 
 
 def result_metrics(result):
@@ -144,18 +147,20 @@ def wall_section(result):
     }
 
 
-def make_point(kind, flavor, result, config, phases=None, utilization=None,
-               bottleneck=None, primitives=None, critpath=None, faults=None,
-               host=None, series=None, views=None, wall=None):
+def make_point(kind, flavor, result, config, zipf=None, phases=None,
+               utilization=None, bottleneck=None, primitives=None,
+               critpath=None, faults=None, host=None, series=None, views=None,
+               wall=None):
     """One measurement point: config + metrics (+ optional telemetry).
 
     ``config`` must contain everything needed to reproduce the point
     (clients, keys, seed, windows); it is compared verbatim by
     :func:`compare`, so a config drift fails loudly instead of
-    producing an apples-to-oranges diff.
+    producing an apples-to-oranges diff. ``zipf`` tags the point id of
+    a Zipf sweep, whose points share kind, flavor and client count.
     """
     point = {
-        "id": point_id(kind, flavor, result.clients),
+        "id": point_id(kind, flavor, result.clients, zipf),
         "kind": kind,
         "flavor": flavor,
         "config": dict(config),

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.bench.cli import build_parser, main
+from repro.bench.cli import build_parser, main, resolve_figure
 
 
 def test_list(capsys):
@@ -14,9 +14,13 @@ def test_list(capsys):
 
 
 def test_parser_defaults():
+    # Flags default to None so a given flag is detectable; the figure's
+    # own geometry fills them in.
     args = build_parser().parse_args(["fig3"])
-    assert args.keys == 8000
-    assert args.clients == [1, 8, 32, 96, 176]
+    assert args.keys is None and args.clients is None
+    spec = resolve_figure(args)
+    assert spec.keys == 8000
+    assert spec.clients == (1, 8, 32, 96, 176)
 
 
 def test_parser_client_list():
@@ -108,6 +112,13 @@ def test_point_profile_cprofile_artifacts(tmp_path, monkeypatch, capsys):
     assert os.path.exists(tmp_path / "flame.point.txt")
 
 
+def _without_wall(record):
+    """A record minus ``wall``, the host wall-clock time of each run."""
+    for point in record["points"]:
+        del point["wall"]
+    return record
+
+
 def test_record_identical_apart_from_host_section(tmp_path):
     # The host section is the ONLY difference --profile makes to the
     # record: wall-clock numbers never leak into simulated metrics.
@@ -127,8 +138,8 @@ def test_record_identical_apart_from_host_section(tmp_path):
         proc = subprocess.run(base + extra, env=env, cwd=tmp_path,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-    expected = json.loads(plain.read_text())
-    observed = json.loads(profiled.read_text())
+    expected = _without_wall(json.loads(plain.read_text()))
+    observed = _without_wall(json.loads(profiled.read_text()))
     del observed["points"][0]["host"]
     assert observed == expected
 
@@ -227,7 +238,8 @@ def test_record_identical_with_flight(tmp_path):
         proc = subprocess.run(base + extra, env=env, cwd=tmp_path,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-    assert json.loads(flighted.read_text()) == json.loads(plain.read_text())
+    assert (_without_wall(json.loads(flighted.read_text()))
+            == _without_wall(json.loads(plain.read_text())))
 
 
 def test_sweep_trace_writes_designated_point(capsys, tmp_path):
@@ -357,8 +369,8 @@ def test_record_identical_with_series(tmp_path):
         proc = subprocess.run(base + extra, env=env, cwd=tmp_path,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-    expected = json.loads(plain.read_text())
-    observed = json.loads(collected.read_text())
+    expected = _without_wall(json.loads(plain.read_text()))
+    observed = _without_wall(json.loads(collected.read_text()))
     del observed["points"][0]["series"]
     assert observed == expected
 
@@ -410,3 +422,140 @@ def test_compare_host_and_series_combined(tmp_path, monkeypatch, capsys):
     assert main(["compare", str(record), str(run),
                  "--host", "--series"]) == 1
     assert "compare: FAIL" in capsys.readouterr().out
+
+
+def _run_cli_json(tmp_path, name, argv, script=None):
+    """Run the CLI (or a benchmark script) in a fresh interpreter."""
+    import subprocess
+    import sys
+
+    import repro
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    out = tmp_path / name
+    command = ([sys.executable, script] if script
+               else [sys.executable, "-m", "repro.bench.cli"])
+    proc = subprocess.run(command + argv + ["--json", str(out)],
+                          env=dict(os.environ, PYTHONPATH=src), cwd=tmp_path,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(out.read_text())
+
+
+def test_record_identical_script_and_cli(tmp_path):
+    # The fig3 script's __main__ and `cli fig3 --flavor prism-sw` are one
+    # path: their points differ only in host-side sections, and both
+    # meter --profile at the same stride.
+    from pathlib import Path
+
+    from repro.bench.cli import HOST_PROFILE_STRIDE
+    script = str(Path(__file__).resolve().parents[2] / "benchmarks"
+                 / "bench_fig3_kv_read.py")
+    geometry = ["--clients", "4", "--keys", "1000", "--profile"]
+    from_script = _run_cli_json(tmp_path, "a.json", geometry, script=script)
+    from_cli = _run_cli_json(tmp_path, "b.json",
+                             ["fig3", "--flavor", "prism-sw"] + geometry)
+    for record in (from_script, from_cli):
+        del record["provenance"]
+        for point in _without_wall(record)["points"]:
+            assert point.pop("host")["stride"] == HOST_PROFILE_STRIDE
+    assert from_script == from_cli
+    assert [point["id"] for point in from_cli["points"]] == ["kv/prism-sw/c4"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["fig1", "--faults", "seed=1,drop=0.01"], "--faults"),
+    (["motivation", "--json", "x.json"], "--json"),
+    (["fig2", "--primitives"], "--primitives"),
+    (["fig3", "--zipfs", "0.5"], "--zipfs"),
+    (["fig3", "--kind", "tx"], "--kind"),
+    (["fig10", "--zipf", "0.5"], "--zipf"),
+    (["fig7", "--zipf", "0"], "--zipf"),
+    (["fig7", "--read-fraction", "0.9"], "--read-fraction"),
+    (["list", "--host"], "--host"),
+    (["list", "--top", "3"], "--top"),
+    (["compare", "--profile"], "--profile"),
+])
+def test_unconsumed_flags_rejected(capsys, argv, flag):
+    assert main(argv) == 2
+    assert f"{flag} is not supported by '{argv[0]}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["point", "--flight-dump", "x.json"], "--flight-dump requires --flight"),
+    (["point", "--arrival-rate", "10"], "require --clients-aggregated"),
+    (["point", "--kind", "tx", "--read-fraction", "0.9"], "--read-fraction"),
+    (["fig3", "--clients", "2", "--clients-aggregated", "1000"],
+     "exclusive"),
+])
+def test_flag_combinations_rejected(capsys, argv, message):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_profile_stride_option_removed():
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["point", "--profile-stride", "4"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["point", "--kind", "tx", "--flavor", "prism-sw"],
+    ["fig3"], ["fig4"], ["fig6"], ["fig9"],
+    ["fig7", "--zipfs", "0.9"], ["fig10", "--zipfs", "0.9"],
+])
+def test_every_measured_command_writes_a_full_record(tmp_path, capsys,
+                                                     argv):
+    record = tmp_path / "run.json"
+    assert main(argv + ["--clients", "2", "--keys", "200",
+                        "--measure-us", "300", "--json", str(record)]) == 0
+    capsys.readouterr()
+    points = json.loads(record.read_text())["points"]
+    assert points
+    for point in points:
+        assert point["config"]["measure_us"] == 300.0
+        assert point["metrics"]["ops"] > 0
+        assert point["wall"]["events_per_sec"] > 0
+    assert len({point["id"] for point in points}) == len(points)
+
+
+def test_figure_defaults_follow_the_figure_specs():
+    # Resolution only: no simulation runs.
+    def resolved(*argv):
+        return resolve_figure(build_parser().parse_args(list(argv)))
+
+    fig7 = resolved("fig7")
+    assert (fig7.clients, fig7.keys, fig7.measure_us) == ((100,), 4000,
+                                                         2500.0)
+    assert fig7.zipfs == (0.0, 0.5, 0.9, 1.2)
+    fig10 = resolved("fig10")
+    assert fig10.clients == (24, 96, 176) and fig10.measure_us == 1200.0
+    assert fig10.zipfs == (0.0, 0.6, 0.9, 1.2)
+    assert 288 in resolved("fig9").clients
+    assert resolved("fig6").strict_sum is False
+    assert resolved("fig3", "--flavor", "pilaf-hw").flavors == ("pilaf-hw",)
+    point = resolved("point", "--kind", "rs", "--clients", "3")
+    assert point.clients == (3,) and point.read_fraction == 0.5
+    assert resolved("point", "--kind", "tx").read_fraction is None
+
+
+@pytest.mark.parametrize("figure, reason", [
+    ("fig4", "scratch slot"), ("fig6", "scratch slot"),
+    ("fig9", "YCSB-T"), ("fig10", "YCSB-T")])
+def test_aggregated_sources_reject_mixes_they_cannot_run(capsys, figure,
+                                                         reason):
+    assert main([figure, "--clients-aggregated", "1000"]) == 2
+    err = capsys.readouterr().err
+    assert "--clients-aggregated is not supported by" in err
+    assert reason in err
+
+
+def test_aggregated_fig3_point_runs_the_figure_mix(tmp_path, capsys):
+    record = tmp_path / "agg.json"
+    assert main(["fig3", "--flavor", "prism-sw", "--clients-aggregated",
+                 "10000", "--keys", "200", "--measure-us", "300",
+                 "--json", str(record)]) == 0
+    assert "modeled clients" in capsys.readouterr().out
+    point = json.loads(record.read_text())["points"][0]
+    model = point["config"]["source_model"]
+    assert model["clients"] == 10000
+    assert model["read_fraction"] == 1.0
+    assert point["metrics"]["ops"] > 0

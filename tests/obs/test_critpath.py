@@ -8,11 +8,8 @@ for quorum fan-out, where the phase breakdown over-counts.
 
 import pytest
 
-from repro.bench.tracing import (
-    check_critpath,
-    measured_roots,
-    run_traced_point,
-)
+from repro.bench.harness import run_point
+from repro.bench.tracing import check_critpath, measured_roots
 from repro.obs import (
     Tracer,
     critical_attribution,
@@ -163,9 +160,10 @@ class TestSynthetic:
 
 class TestEndToEnd:
     def _roots(self, kind, flavor, workload, **kwargs):
-        result, _report, tracer = run_traced_point(
-            kind, flavor, workload, 4, n_keys=400,
-            warmup_us=100.0, measure_us=500.0, **kwargs)
+        tracer = Tracer()
+        result = run_point(kind, flavor, workload, 4, n_keys=400,
+                           warmup_us=100.0, measure_us=500.0, tracer=tracer,
+                           **kwargs)
         roots = measured_roots(tracer)
         assert roots
         return result, roots

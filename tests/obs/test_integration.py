@@ -14,12 +14,8 @@ import json
 import pytest
 
 from repro.bench.harness import run_point
-from repro.bench.tracing import (
-    check_breakdown,
-    measured_roots,
-    run_traced_point,
-)
-from repro.obs import Tracer, breakdown, phase_attribution
+from repro.bench.tracing import check_breakdown, measured_roots
+from repro.obs import Tracer, breakdown, phase_attribution, write_chrome_trace
 from repro.workload import YCSB_A
 
 POINT = dict(n_keys=400, value_size=128, warmup_us=60.0, measure_us=400.0)
@@ -75,10 +71,11 @@ def test_phases_are_meaningfully_populated(traced):
     assert get["phases"]["wire"] > 0.0
 
 
-def test_run_traced_point_writes_chrome_trace(tmp_path):
+def test_traced_point_writes_chrome_trace(traced, tmp_path):
+    result, tracer = traced
     path = tmp_path / "kv.json"
-    result, report, _tracer = run_traced_point(
-        "kv", "prism-sw", _workload, 1, trace_path=str(path), **POINT)
+    write_chrome_trace(tracer.roots, str(path),
+                       process_spans=tracer.process_spans)
     data = json.loads(path.read_text())
     assert data["traceEvents"]
-    check_breakdown(result, report)
+    check_breakdown(result, breakdown(measured_roots(tracer)))

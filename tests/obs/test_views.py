@@ -311,7 +311,12 @@ def _cli_point(tmp_path, name, *extra, kind="kv"):
          "--kind", kind, "--flavor", "prism-sw",
          "--clients", "2", "--keys", "200", "--json", str(out), *extra],
         check=True, env=env, cwd=tmp_path, capture_output=True, timeout=300)
-    return out.read_text()
+    # ``wall`` is host wall-clock time: the one section that differs
+    # between two runs of the same point.
+    record = json.loads(out.read_text())
+    for point in record["points"]:
+        del point["wall"]
+    return json.dumps(record, indent=2, sort_keys=True)
 
 
 class TestSubprocessRecordIdentity:
