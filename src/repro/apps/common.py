@@ -30,16 +30,15 @@ def bump_tag(tag, client_id):
 
 
 def note_key(sim, app, kind, key):
-    """Record one app-level op on ``key`` with the primitive-telemetry
-    collector, when one is installed (``sim.set_primitives``).
+    """Emit one app-level op on ``key`` on the observer bus.
 
-    A single attribute check on the off path, and the collector only
-    counts — no clock reads, no events — so instrumented apps keep the
+    A single ``sim.obs`` check on the off path, and subscribers only
+    count — no clock reads, no events — so instrumented apps keep the
     bit-identical-timing guarantee.
     """
-    collector = sim.primitives
-    if collector is not None:
-        collector.note_key(app, kind, key)
+    obs = sim.obs
+    if obs is not None:
+        obs.note_key(app, kind, key)
 
 
 def field_mask(offset_bytes, width_bytes):

@@ -251,26 +251,20 @@ def run_point(kind, flavor, workload_factory, n_clients,
     sim = Simulator()
     if hostprof is not None:
         sim.set_hostprof(hostprof)
-    if flight is not None:
-        sim.set_flight(flight)
     if series is not None:
-        sim.set_series(series.configure(warmup_us, measure_us))
-    if views is not None:
-        sim.set_views(views)
+        series.configure(warmup_us, measure_us)
+    if utilization is not None:
+        # Report utilization over the measurement window, not warmup.
+        utilization.measure_from = warmup_us
+        utilization.measure_until = warmup_us + measure_us
+    sim.observe(*(collector for collector in (
+        flight, series, views, tracer, utilization, primitives)
+        if collector is not None))
     if faults is not None:
         if isinstance(faults, str):
             from repro.faults import parse_faults
             faults = parse_faults(faults)
         sim.set_faults(faults)
-    if tracer is not None:
-        sim.set_tracer(tracer)
-    if utilization is not None:
-        sim.set_utilization(utilization)
-        # Report utilization over the measurement window, not warmup.
-        utilization.measure_from = warmup_us
-        utilization.measure_until = warmup_us + measure_us
-    if primitives is not None:
-        sim.set_primitives(primitives)
     if source_model is not None:
         spec = dict(source_model)
         n_sources = min(spec.pop("n_sources", n_client_hosts), n_clients)
@@ -338,12 +332,9 @@ def run_point(kind, flavor, workload_factory, n_clients,
     if hostprof is not None:
         from repro.obs.hostprof import deactivate
         deactivate(hostprof)
-    if utilization is not None:
-        utilization.finish(sim.now)
-    if series is not None:
-        series.finish(sim.now)
-    if views is not None:
-        views.finish(sim.now)
+    for collector in (utilization, series, views):
+        if collector is not None:
+            collector.finish(sim.now)
     if sim.faults is not None:
         report = sim.faults.report()
         # Goodput: operations that *completed* per second of measured

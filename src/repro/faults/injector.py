@@ -4,7 +4,11 @@ Installed with ``sim.set_faults(plan)`` *before* system construction —
 the same contract as the observability collectors — so the fabric,
 servers, and free lists self-register. With no injector installed every
 hook in the data path is a single ``is None`` check and a run's timing
-is bit-identical to an uninjected one.
+is bit-identical to an uninjected one. What the injector does to the
+run (message fates, crash drops, crash/recover and starve/restore
+transitions) is emitted once on the observer bus
+(:mod:`repro.obs.bus`), where the series and flight collectors
+subscribe.
 
 Determinism: every stochastic choice draws from a named substream of
 ``SeededRng(plan.seed)``; message fate draws happen in fabric send
@@ -58,9 +62,10 @@ class FaultInjector:
         self._rng = SeededRng(self.plan.seed)
         self._net = self._rng.stream("faults.net")
         for crash in self.plan.crashes:
-            sim.call_at(crash.at_us, self._make_crash(crash))
+            sim.call_at(crash.at_us, self._make_transition(crash.host, True))
             if crash.recover_at_us is not None:
-                sim.call_at(crash.recover_at_us, self._make_recovery(crash))
+                sim.call_at(crash.recover_at_us,
+                            self._make_transition(crash.host, False))
         return self
 
     # -- registration (called during system construction) -----------------
@@ -105,30 +110,21 @@ class FaultInjector:
                      and self._net.random() < plan.duplicate)
         delay_us = (self._net.uniform(0.0, plan.jitter_us)
                     if plan.jitter_us > 0.0 else 0.0)
-        series = self.sim.series
         if drop:
             self.counters["messages_dropped"] += 1
-            if series is not None:
-                series.count("drops")
             return MessageFate(drop=True)
         if not duplicate and delay_us == 0.0:
             return _NO_FATE
         if duplicate:
             self.counters["messages_duplicated"] += 1
-            if series is not None:
-                series.count("dups")
         if delay_us > 0.0:
             self.counters["messages_delayed"] += 1
             self.delay_injected_us += delay_us
-            if series is not None:
-                series.count("delays")
         return MessageFate(duplicate=duplicate, delay_us=delay_us)
 
     def note_crash_drop(self):
         """A message arrived at (or left) a crash-stopped host."""
         self.counters["crash_drops"] += 1
-        if self.sim.series is not None:
-            self.sim.series.count("crash_drops")
 
     # -- recovery-side accounting ------------------------------------------
 
@@ -158,29 +154,21 @@ class FaultInjector:
 
     # -- schedules ----------------------------------------------------------
 
-    def _make_crash(self, crash):
+    def _make_transition(self, host, down):
+        """The crash (``down``) or recovery of ``host``, as a callback."""
         def execute():
-            self._down.add(crash.host)
-            self.counters["crashes"] += 1
-            # Crash schedules run outside any process, so the flight
-            # event is global (op=None) — forensics turns crash/recover
-            # pairs into down windows and overlaps them with requests.
-            if self.sim.flight is not None:
-                self.sim.flight.record("fault.crash", host=crash.host)
-            for server in self._servers.get(crash.host, ()):
-                if hasattr(server, "fail"):
-                    server.fail()
-        return execute
-
-    def _make_recovery(self, crash):
-        def execute():
-            self._down.discard(crash.host)
-            self.counters["recoveries"] += 1
-            if self.sim.flight is not None:
-                self.sim.flight.record("fault.recover", host=crash.host)
-            for server in self._servers.get(crash.host, ()):
-                if hasattr(server, "recover"):
-                    server.recover()
+            if down:
+                self._down.add(host)
+            else:
+                self._down.discard(host)
+            self.counters["crashes" if down else "recoveries"] += 1
+            obs = self.sim.obs
+            if obs is not None:
+                obs.note_crash(host, down)
+            method = "fail" if down else "recover"
+            for server in self._servers.get(host, ()):
+                if hasattr(server, method):
+                    getattr(server, method)()
         return execute
 
     def _starve(self, server, freelist_id, qp):
@@ -191,17 +179,16 @@ class FaultInjector:
             return
         withheld = [qp.pop() for _ in range(take)]
         self.counters["starved_buffers"] += take
-        if self.sim.flight is not None:
-            self.sim.flight.record("fault.starve", freelist=freelist_id,
-                                   name=qp.name, taken=take)
+        obs = self.sim.obs
+        if obs is not None:
+            obs.note_starve(freelist_id, qp.name, take, False)
         if plan.starve_hold_us <= 0.0:
             return  # withheld for the rest of the run
         yield self.sim.timeout(plan.starve_hold_us)
         yield from server.post_buffers(freelist_id, withheld)
         self.counters["restored_buffers"] += take
-        if self.sim.flight is not None:
-            self.sim.flight.record("fault.restore", freelist=freelist_id,
-                                   name=qp.name, restored=take)
+        if obs is not None:
+            obs.note_starve(freelist_id, qp.name, take, True)
 
     # -- reporting ----------------------------------------------------------
 

@@ -107,33 +107,16 @@ class Fabric:
             return message
         # Fault point: the message has left the TX port (the sender paid
         # serialization either way); it may now vanish, fork, or lag.
-        hp = self.sim.hostprof
-        if hp is not None and not hp._timing:
-            # Stride sampling: attribution is off for this event.
-            hp = None
+        hp = sim.hostprof
         if hp is not None:
             hp.enter("hooks.faults")
         fate = faults.on_message(message)
         if hp is not None:
             hp.exit()
-        fl = self.sim.flight
-        if fl is not None and (fate.drop or fate.duplicate
-                               or fate.delay_us > 0.0):
-            # Flight events for injected fates: recorded from the
-            # sender's process, so they attribute to the operation the
-            # message serves (requests and replies alike).
-            logical = getattr(message.payload, "logical_id", None)
-            if fate.drop:
-                fl.record("fault.drop", msg=message.id, logical=logical,
-                          dst=dst_name, service=service)
-            else:
-                if fate.duplicate:
-                    fl.record("fault.dup", msg=message.id, logical=logical,
-                              dst=dst_name, service=service)
-                if fate.delay_us > 0.0:
-                    fl.record("fault.delay", msg=message.id, logical=logical,
-                              dst=dst_name, service=service,
-                              delay_us=fate.delay_us)
+        obs = sim.obs
+        if obs is not None and (fate.drop or fate.duplicate
+                                or fate.delay_us > 0.0):
+            obs.note_fate(message, fate)
         if fate.drop:
             return message
         self.sim.spawn(self._deliver(message, fate.delay_us),
@@ -170,14 +153,11 @@ class Fabric:
             # Crash-stop: a dead host neither receives nor has its
             # in-flight sends honoured (its NIC died with it).
             faults.note_crash_drop()
-            fl = self.sim.flight
-            if fl is not None:
+            obs = sim.obs
+            if obs is not None:
                 down = (message.dst if faults.is_down(message.dst)
                         else message.src)
-                fl.record("fault.crash_drop", msg=message.id,
-                          logical=getattr(message.payload, "logical_id",
-                                          None),
-                          host=down, dst=message.dst)
+                obs.note_crash_drop(message, down)
             if self.monitor is not None:
                 self.monitor.adjust(-1)
             return

@@ -84,10 +84,9 @@ class RequestChannel:
         self._retry_rng = None
         self.retransmissions = 0
         self.timeouts = 0
-        #: connection id this channel's timeout/backoff view signals
-        #: attribute to (set by PrismClient); falls back to the host
-        #: name for channels outside the PRISM client path
-        self.view_conn = None
+        #: the connection this channel's timeout/backoff events name:
+        #: the host name, or a PRISM connection id (set by PrismClient)
+        self.conn = host_name
         if sim.utilization is not None:
             # In-flight request depth per channel: evidence for the
             # bottleneck analyzer (deep client queues with an idle
@@ -105,16 +104,14 @@ class RequestChannel:
     def _on_reply(self, message):
         reply = message.payload
         event = self._pending.pop(reply.id, None)
-        fl = self.sim.flight
-        if fl is not None:
-            fl.record("req.reply" if event is not None else "req.stale",
-                      logical=reply.logical_id, req=reply.id, ok=reply.ok)
+        obs = self.sim.obs
+        if obs is not None:
+            obs.note_reply(reply.logical_id, reply.id, reply.ok,
+                           event is None)
         if event is None:
             return  # duplicate or cancelled; drop silently like a NIC would
         if self.monitor is not None:
             self.monitor.adjust(-1)
-        if not reply.ok and self.sim.series is not None:
-            self.sim.series.count("naks")
         if reply.ok:
             event.succeed(reply.body)
         else:
@@ -137,10 +134,9 @@ class RequestChannel:
         request = Request(request_id, self.host_name, self.reply_service, body)
         request.span = span
         request.logical_id = logical_id
-        fl = sim.flight
-        if fl is not None:
-            fl.record("req.send", logical=logical_id, req=request_id,
-                      dst=dst, service=service)
+        obs = sim.obs
+        if obs is not None:
+            obs.note_send(logical_id, request_id, dst, service)
         reply_event = Event(sim)
         self._pending[request_id] = reply_event
         if self.monitor is not None:
@@ -168,15 +164,9 @@ class RequestChannel:
                 if (self._pending.pop(request_id, None) is not None
                         and self.monitor is not None):
                     self.monitor.adjust(-1)
-                if fl is not None:
-                    fl.record("req.timeout", logical=logical_id,
-                              req=request_id, dst=dst, timeout_us=timeout_us)
-                if sim.series is not None:
-                    sim.series.count("timeouts")
-                if sim.views is not None:
-                    sim.views.note_timeout(
-                        self.view_conn if self.view_conn is not None
-                        else self.host_name)
+                if obs is not None:
+                    obs.note_timeout(self.conn, logical_id, request_id,
+                                     dst, timeout_us)
                 raise TimeoutExpired(
                     timeout_us, what=f"request {request_id} to {dst}/{service}")
             result = value
@@ -218,7 +208,7 @@ class RequestChannel:
         logical request, retried" from "several requests".
         """
         faults = self.sim.faults
-        fl = self.sim.flight
+        obs = self.sim.obs
         if faults is not None and self._retry_rng is None:
             self._retry_rng = faults.retry_stream()
         logical_id = next(_logical_ids)
@@ -237,26 +227,16 @@ class RequestChannel:
                 if attempt >= policy.max_retries:
                     if faults is not None:
                         faults.note_retries_exhausted()
-                    if fl is not None:
-                        fl.record("req.exhausted", logical=logical_id,
-                                  attempts=attempt + 1)
-                    if self.sim.series is not None:
-                        self.sim.series.count("retries_exhausted")
+                    if obs is not None:
+                        obs.note_exhausted(logical_id, attempt + 1)
                     raise
                 backoff = policy.backoff_us(attempt, self._retry_rng)
                 attempt += 1
                 self.retransmissions += 1
                 if faults is not None:
                     faults.note_retransmit()
-                if self.sim.series is not None:
-                    self.sim.series.count("retransmissions")
-                if self.sim.views is not None:
-                    self.sim.views.note_backoff(
-                        self.view_conn if self.view_conn is not None
-                        else self.host_name)
-                if fl is not None:
-                    fl.record("req.backoff", logical=logical_id,
-                              attempt=attempt, backoff_us=backoff)
+                if obs is not None:
+                    obs.note_backoff(self.conn, logical_id, attempt, backoff)
                 with span.child("client.backoff", phase="queue",
                                 attempt=attempt):
                     yield self.sim.timeout(backoff)

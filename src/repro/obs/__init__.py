@@ -1,6 +1,11 @@
 """Observability: span tracing, metrics, and latency attribution.
 
-Three pieces, all driven by the simulated clock:
+Every simulated-time collector is installed with
+``sim.observe(*collectors)``, and the event-driven ones read the one
+event stream of :mod:`repro.obs.bus`: each hook site in the simulated
+system emits one event, and a collector subscribes to the kinds it
+defines handlers for. The pieces, all driven by the simulated clock
+except the host profiler:
 
 * :mod:`repro.obs.trace` — a span-based tracer. Instrumented code
   holds a parent :class:`Span` and opens children around timed work;
@@ -14,7 +19,7 @@ Three pieces, all driven by the simulated clock:
   JSON loadable in Perfetto.
 * :mod:`repro.obs.timeline` — windowed busy/idle accounting and
   queue-depth telemetry for every contended resource (install a
-  :class:`UtilizationCollector` via ``sim.set_utilization``), and
+  :class:`UtilizationCollector` via ``sim.observe``), and
   :mod:`repro.obs.bottleneck` — the analyzer that names the saturated
   resource and its headroom.
 * :mod:`repro.obs.quantiles` — the one shared implementation of
@@ -22,7 +27,7 @@ Three pieces, all driven by the simulated clock:
 * :mod:`repro.obs.primitives` — semantic counters for the PRISM
   primitives themselves (CAS outcomes and contention, pointer-chase
   depth, chain lengths/aborts, allocator watermarks, key hotness);
-  install a :class:`PrimitiveCollector` via ``sim.set_primitives``.
+  install a :class:`PrimitiveCollector` via ``sim.observe``.
 * :mod:`repro.obs.critpath` — per-request critical-path attribution
   over span trees: which phase/span actually bounded end-to-end
   latency, vs slack the request never waited on.
@@ -33,19 +38,19 @@ Three pieces, all driven by the simulated clock:
 * :mod:`repro.obs.flight` — a bounded causal event log tying every
   layer's events (ops, retries, CAS misses, fault injections) to the
   client operation they belong to; install a :class:`FlightRecorder`
-  via ``sim.set_flight``. :mod:`repro.obs.forensics` replays a flight
+  via ``sim.observe``. :mod:`repro.obs.forensics` replays a flight
   log into per-request timelines and automatic diagnoses.
 * :mod:`repro.obs.series` — windowed time-series telemetry on the
   simulated clock (per-window throughput/goodput/latency digests and
   retry/NAK counters) with MSER steady-state detection and
   changepoint annotation cross-referenced against injected faults;
-  install a :class:`SeriesCollector` via ``sim.set_series``.
+  install a :class:`SeriesCollector` via ``sim.observe``.
 * :mod:`repro.obs.views` — *online* sliding-window telemetry views:
   per-connection/per-key CAS retry, NAK, pointer-chase, timeout, and
   service-time signals maintained in O(1) rings and queryable
   mid-run (``views.rate(...)``/``views.ewma(...)``), plus a bounded
   decision log for shadow-mode policy probes; install a
-  :class:`ViewCollector` via ``sim.set_views``.
+  :class:`ViewCollector` via ``sim.observe``.
 """
 
 from repro.obs.bottleneck import (

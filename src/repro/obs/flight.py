@@ -12,20 +12,20 @@ causal timeline of any single slow or failed request after the run.
 Install contract (same as every collector)::
 
     recorder = FlightRecorder(capacity=65536)
-    sim.set_flight(recorder)      # BEFORE system construction
+    sim.observe(recorder)         # BEFORE system construction
     ... build system, run ...
     recorder.dump("flight.json")  # or recorder.to_dict()
 
 Off by default: with no recorder installed every hook on the data path
-is a single ``is None`` check and the run's simulated timing is
+is a single ``sim.obs is None`` check and the run's simulated timing is
 bit-identical to an unrecorded one. The recorder itself never reads or
 schedules simulator events — it only appends to a host-side deque — so
 a recorded run is also bit-identical in simulated time.
 
 Causal attribution works without threading ids through any call
 signature: the kernel tells the recorder which :class:`Process` is
-executing (an enter/exit stack in ``Process._step``), the driver binds
-the current client operation's id to its process at ``op_open``, and a
+executing (an enter/exit stack in ``Process._step``), the driver's
+``op_open`` event binds the new operation's id to its process, and a
 process spawned while another runs *inherits* the spawner's operation
 context. Since the fabric spawns delivery from the sender's process,
 the server spawns its handler from the delivery process, and replies
@@ -58,6 +58,9 @@ class FlightRecorder:
     ``capacity`` events; ``evicted`` counts what fell off the front.
     """
 
+    #: the Simulator attribute the kernel's process-context hooks read
+    sim_attr = "flight"
+
     def __init__(self, capacity=DEFAULT_CAPACITY):
         if capacity < 1:
             raise ValueError("FlightRecorder needs capacity >= 1")
@@ -74,7 +77,7 @@ class FlightRecorder:
         self._stack = []
 
     def bind(self, sim):
-        """Attach to the simulator (``sim.set_flight`` calls this)."""
+        """Attach to the simulator (``sim.observe`` calls this)."""
         self._sim = sim
         return self
 
@@ -90,23 +93,100 @@ class FlightRecorder:
         """The operation id of the currently executing process (or None)."""
         return self._stack[-1]._flight_ctx if self._stack else None
 
-    # -- operation lifecycle (workload driver) ------------------------------
+    # -- bus events (see repro.obs.bus) ------------------------------------
 
-    def op_open(self, name, client=None):
+    def note_op_open(self, name, client):
         """A client operation begins; binds its id to the current process."""
         op_id = next(self._op_ids)
         self.ops_opened += 1
         if self._stack:
             self._stack[-1]._flight_ctx = op_id
         self.record("op.open", op=op_id, name=name, client=client)
-        return op_id
 
-    def op_close(self, op_id, status="ok", **fields):
-        """The operation finished; clears the process binding."""
+    def note_op_close(self, latency_us, aborts, retries, measured):
+        """The current process's operation finished; clears its binding."""
         self.ops_closed += 1
-        self.record("op.close", op=op_id, status=status, **fields)
-        if self._stack and self._stack[-1]._flight_ctx == op_id:
+        self.record("op.close", status="aborted" if aborts else "ok",
+                    latency_us=latency_us, aborts=aborts, retries=retries,
+                    measured=measured)
+        if self._stack:
             self._stack[-1]._flight_ctx = None
+
+    def note_send(self, logical, req, dst, service):
+        self.record("req.send", logical=logical, req=req, dst=dst,
+                    service=service)
+
+    def note_reply(self, logical, req, ok, stale):
+        self.record("req.stale" if stale else "req.reply", logical=logical,
+                    req=req, ok=ok)
+
+    def note_timeout(self, conn, logical, req, dst, timeout_us):
+        self.record("req.timeout", logical=logical, req=req, dst=dst,
+                    timeout_us=timeout_us)
+
+    def note_backoff(self, conn, logical, attempt, backoff_us):
+        self.record("req.backoff", logical=logical, attempt=attempt,
+                    backoff_us=backoff_us)
+
+    def note_exhausted(self, logical, attempts):
+        self.record("req.exhausted", logical=logical, attempts=attempts)
+
+    def note_cas(self, conn, target, mode, swapped):
+        # Only misses are flight-worthy: they are what retry storms on
+        # hot addresses are made of (forensics groups by target).
+        if not swapped:
+            self.record("cas.miss", target=target, mode=mode.value)
+
+    def note_nak(self, conn, opname, error):
+        self.record("op.nak", opname=opname, error=type(error).__name__)
+
+    def note_chain_submit(self, ops, server):
+        self.record("chain.submit", ops=len(ops),
+                    kinds="+".join(op.opname for op in ops), server=server)
+
+    def note_chain(self, ops, results, logical, reason):
+        if reason is not None and results:
+            self.record("chain.abort", logical=logical, ops=len(results),
+                        reason=reason)
+
+    def note_rpc_submit(self, method, server):
+        self.record("rpc.submit", method=method, server=server)
+
+    def note_fate(self, message, fate):
+        # Recorded from the sender's process, so injected fates
+        # attribute to the operation the message serves (requests and
+        # replies alike).
+        logical = getattr(message.payload, "logical_id", None)
+        if fate.drop:
+            self.record("fault.drop", msg=message.id, logical=logical,
+                        dst=message.dst, service=message.service)
+            return
+        if fate.duplicate:
+            self.record("fault.dup", msg=message.id, logical=logical,
+                        dst=message.dst, service=message.service)
+        if fate.delay_us > 0.0:
+            self.record("fault.delay", msg=message.id, logical=logical,
+                        dst=message.dst, service=message.service,
+                        delay_us=fate.delay_us)
+
+    def note_crash_drop(self, message, host):
+        self.record("fault.crash_drop", msg=message.id,
+                    logical=getattr(message.payload, "logical_id", None),
+                    host=host, dst=message.dst)
+
+    def note_crash(self, host, down):
+        # Crash schedules run outside any process, so the event is
+        # global (op=None): forensics turns crash/recover pairs into
+        # down windows and overlaps them with requests.
+        self.record("fault.crash" if down else "fault.recover", host=host)
+
+    def note_starve(self, freelist_id, name, buffers, restored):
+        if restored:
+            self.record("fault.restore", freelist=freelist_id, name=name,
+                        restored=buffers)
+        else:
+            self.record("fault.starve", freelist=freelist_id, name=name,
+                        taken=buffers)
 
     # -- recording -----------------------------------------------------------
 

@@ -156,11 +156,6 @@ class HostProfiler:
         self._stack.clear()
         self._timing = False
 
-    def resume_begin(self):
-        """``Process._step`` is about to drive a generator."""
-        self.resumes += 1
-        self.enter("resume")
-
     # -- bucket attribution --------------------------------------------------
 
     def enter(self, bucket):

@@ -8,12 +8,12 @@ and why did they abort? How close did ALLOCATE come to draining a free
 list? Which application keys were hot?
 
 Install a :class:`PrimitiveCollector` *before* system construction via
-``sim.set_primitives(collector)`` — the same self-registration pattern
-as ``sim.set_utilization``. The engine, backends, and app clients all
-check ``sim.primitives is None`` (one attribute read) on the off path,
-and the collector itself only increments counters at transitions the
-run already makes: it never reads or schedules simulator events, so a
-monitored run is bit-identical in simulated time to a bare one.
+``sim.observe(collector)``. It subscribes to the engine, backend,
+server and app events of the observer bus (:mod:`repro.obs.bus`), whose
+hook sites cost one ``sim.obs is None`` check on the off path, and it
+only increments counters at transitions the run already makes: it
+never reads or schedules simulator events, so a monitored run is
+bit-identical in simulated time to a bare one.
 
 Heavy-hitter sketches use the SpaceSaving algorithm (:class:`TopK`):
 bounded memory, deterministic (ties broken by insertion order, and the
@@ -133,19 +133,19 @@ class PrimitiveCollector:
         self.key_ops = {}            # app -> {op kind: count}
 
     def bind(self, sim):
-        """Attach to the simulator (``sim.set_primitives`` calls this)."""
+        """Attach to the simulator (``sim.observe`` calls this)."""
         self._sim = sim
         return self
 
-    # -- engine hooks ------------------------------------------------------
+    # -- bus events (see repro.obs.bus) ------------------------------------
 
-    def note_cas(self, connection_id, target, mode, swapped):
+    def note_cas(self, conn, target, mode, swapped):
         """One CAS attempt on ``target``; ``swapped`` is the outcome."""
         self.cas_attempts += 1
         self.cas_hot_targets.note(target)
         outcomes = self.cas_by_mode.setdefault(mode.value,
                                                {"ok": 0, "miss": 0})
-        streak_key = (connection_id, target)
+        streak_key = (conn, target)
         if swapped:
             outcomes["ok"] += 1
             streak = self._miss_streaks.pop(streak_key, 0)
@@ -158,19 +158,20 @@ class PrimitiveCollector:
             self._miss_streaks[streak_key] = \
                 self._miss_streaks.get(streak_key, 0) + 1
 
-    def note_deref(self, opname, hops, bounded=False):
+    def note_deref(self, conn, opname, hops, bounded):
         """Pointer-chase depth of one executed op (0 = direct)."""
         _bump(self.deref_depth.setdefault(opname, {}), hops)
         if bounded:
             self.bounded_reads += 1
 
-    def note_nak(self, opname, error):
+    def note_nak(self, conn, opname, error):
         """An op hard-NAK'd; remember why, by error class."""
         _bump(self.nak_reasons.setdefault(opname, {}), type(error).__name__)
 
-    def note_chain(self, ops, results, logical=None):
+    def note_chain(self, ops, results, logical, reason):
         """One finished request: its ops and their OpResults in order.
 
+        ``reason`` is why it aborted (None when it committed).
         ``logical`` is the stable logical-request id from the client's
         envelope (None for callers outside the request path). A repeat
         execution of an already-seen logical id is a retransmission —
@@ -185,51 +186,34 @@ class PrimitiveCollector:
                 self._seen_logicals.add(logical)
         _bump(self.chain_lengths, len(ops))
         _bump(self.chain_hops, sum(_op_hops(op) for op in ops))
-        statuses = [result.status.value for result in results]
-        self.ops_skipped += sum(1 for s in statuses if s == "skipped")
-        self.ops_executed += sum(1 for s in statuses if s != "skipped")
-        if statuses and statuses[-1] == "ok":
+        skipped = sum(1 for result in results
+                      if result.status.value == "skipped")
+        self.ops_skipped += skipped
+        self.ops_executed += len(results) - skipped
+        if reason is None:
             self.chains_committed += 1
-            return
-        self.chains_aborted += 1
-        reason = "empty"
-        for op, result in zip(ops, results):
-            status = result.status.value
-            if status == "nak":
-                error = getattr(result, "error", None)
-                reason = (type(error).__name__ if error is not None
-                          else "nak")
-                break
-            if status == "cas_miss":
-                reason = "cas_miss"
-                break
-            if status == "skipped":
-                reason = "skipped"
-                break
-            reason = "uncommitted"
-        _bump(self.chain_abort_reasons, reason)
+        else:
+            self.chains_aborted += 1
+            _bump(self.chain_abort_reasons, reason)
 
-    def register_freelist(self, freelist_id, freelist):
+    def note_freelist(self, freelist_id, freelist):
         """Track a free list from creation so the watermark report
         covers queues ALLOCATE never popped (full occupancy)."""
         self._freelists.setdefault(freelist_id, freelist)
 
-    def note_allocate(self, freelist_id, freelist):
-        """A successful free-list pop; track the post-pop low watermark."""
+    def note_allocate(self, freelist_id, freelist, ok):
+        """One ALLOCATE: a free-list pop, or (``ok`` False) an empty
+        free list; tracks the post-pop low watermark."""
         self._freelists.setdefault(freelist_id, freelist)
+        if not ok:
+            _bump(self.alloc_exhaustions, freelist_id)
+            self.alloc_low_watermark[freelist_id] = 0
+            return
         _bump(self.alloc_pops, freelist_id)
         depth = len(freelist)
         low = self.alloc_low_watermark.get(freelist_id)
         if low is None or depth < low:
             self.alloc_low_watermark[freelist_id] = depth
-
-    def note_exhaustion(self, freelist_id, freelist):
-        """ALLOCATE found the free list empty."""
-        self._freelists.setdefault(freelist_id, freelist)
-        _bump(self.alloc_exhaustions, freelist_id)
-        self.alloc_low_watermark[freelist_id] = 0
-
-    # -- app hooks ---------------------------------------------------------
 
     def note_key(self, app, kind, key):
         """One application-level operation ``kind`` on ``key``."""

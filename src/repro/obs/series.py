@@ -17,13 +17,13 @@ raw series into
 Install contract (same as every collector)::
 
     series = SeriesCollector(window_us=50.0)
-    sim.set_series(series)          # BEFORE system construction
+    sim.observe(series)             # BEFORE system construction
     ... build system, run ...
     series.finish(sim.now)
     report = series.report(utilization=collector, faults=faults_report)
 
 Off by default: with no collector installed every hook on the data
-path is a single ``is None`` check, so an uncollected run is
+path is a single ``sim.obs is None`` check, so an uncollected run is
 bit-identical to today's. The collector only appends to host-side
 structures at transitions the run already makes — it never reads or
 schedules simulator events — so a collected run is bit-identical too.
@@ -207,9 +207,10 @@ class _Window:
 class SeriesCollector:
     """Event-driven windowed time series on the simulated clock.
 
-    The workload driver reports every operation completion via
-    :meth:`record_op`; the net layer and the fault injector bucket
-    recovery/injection counters via :meth:`count`. Nothing here ever
+    Subscribes to the observer bus: every operation completion lands in
+    :meth:`record_op`, and request recovery (timeouts, retransmissions,
+    exhausted retries, NAK replies) and injected fault fates bucket
+    into :meth:`count` counters. Nothing here ever
     schedules simulator events, so collection is bit-identical to
     no collection.
     """
@@ -230,7 +231,7 @@ class SeriesCollector:
         self.end_us = None        # run end, set by finish()
 
     def bind(self, sim):
-        """Attach to the simulator (``sim.set_series`` calls this)."""
+        """Attach to the simulator (``sim.observe`` calls this)."""
         self._sim = sim
         return self
 
@@ -268,6 +269,36 @@ class SeriesCollector:
         if t is None:
             t = self._sim.now if self._sim is not None else 0.0
         self._window_at(t).bump(name, n)
+
+    # -- bus events (see repro.obs.bus) --------------------------------------
+
+    def note_op_close(self, latency_us, aborts, retries, measured):
+        self.record_op(self._sim._now, latency_us, measured, ok=not aborts)
+
+    def note_reply(self, logical, req, ok, stale):
+        if not (ok or stale):
+            self.count("naks")
+
+    def note_timeout(self, conn, logical, req, dst, timeout_us):
+        self.count("timeouts")
+
+    def note_backoff(self, conn, logical, attempt, backoff_us):
+        self.count("retransmissions")
+
+    def note_exhausted(self, logical, attempts):
+        self.count("retries_exhausted")
+
+    def note_fate(self, message, fate):
+        if fate.drop:
+            self.count("drops")
+            return
+        if fate.duplicate:
+            self.count("dups")
+        if fate.delay_us > 0.0:
+            self.count("delays")
+
+    def note_crash_drop(self, message, host):
+        self.count("crash_drops")
 
     # -- lifecycle -----------------------------------------------------------
 

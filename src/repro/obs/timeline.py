@@ -21,7 +21,8 @@ Usage::
     from repro.sim import Simulator
 
     sim = Simulator()
-    collector = sim.set_utilization(UtilizationCollector())
+    collector = UtilizationCollector()
+    sim.observe(collector)
     ...build the system; every Resource self-registers...
     sim.run(...)
     collector.finish(sim.now)
@@ -68,13 +69,6 @@ class Window:
     @property
     def width(self):
         return self.end - self.start
-
-    def as_dict(self):
-        return {"start": self.start, "end": self.end,
-                "busy_us": self.busy_us,
-                "depth_time_us": self.depth_time_us,
-                "max_depth": self.max_depth,
-                "events": self.events, "units": self.units}
 
 
 class _WindowedMonitor:
@@ -389,14 +383,17 @@ class DepthMonitor(_WindowedMonitor):
 class UtilizationCollector:
     """The per-run home of every monitor.
 
-    Install with :meth:`repro.sim.kernel.Simulator.set_utilization`
-    *before* building the system: every
+    Install with :meth:`repro.sim.kernel.Simulator.observe` *before*
+    building the system: every
     :class:`~repro.sim.resources.Resource` created afterwards
     self-registers, and the instrumented layers (PCIe, engine,
     channels, fabric) attach their charge/depth monitors. After the
     run, :meth:`finish` closes the books and :meth:`report` yields one
     summary row per resource over the analysis window.
     """
+
+    #: the Simulator attribute construction-time monitors are read from
+    sim_attr = "utilization"
 
     def __init__(self, window_us=DEFAULT_WINDOW_US):
         self.window_us = float(window_us)
@@ -416,7 +413,7 @@ class UtilizationCollector:
     def sim(self):
         if self._sim is None:
             raise RuntimeError(
-                "collector not bound; install it with sim.set_utilization()")
+                "collector not bound; install it with sim.observe()")
         return self._sim
 
     # -- attachment --------------------------------------------------------

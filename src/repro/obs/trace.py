@@ -178,6 +178,8 @@ class Tracer:
     """
 
     enabled = True
+    #: the Simulator attribute instrumented layers read the tracer from
+    sim_attr = "tracer"
 
     def __init__(self, sim=None, trace_processes=False):
         self._sim = sim

@@ -29,17 +29,18 @@ the bit-identical-when-off contract of every collector holds here too.
 Install contract (same as every collector)::
 
     views = ViewCollector(window_us=50.0)
-    sim.set_views(views)            # BEFORE system construction
+    sim.observe(views)              # BEFORE system construction
     ... build system, run ...       # query views.rate(...) mid-run
     views.finish(sim.now)
     report = views.report()
 
 Off by default: with no collector installed every hook on the data
-path is a single ``is None`` check. The collector itself only reads
-``sim.now`` and appends to host-side structures — it never schedules
-simulator events — so a collected run is bit-identical in simulated
-time to a bare one. Host cost is accounted to the ``hooks.views``
-hostprof bucket (see :mod:`repro.obs.hostprof`).
+path is a single ``sim.obs is None`` check. The collector subscribes
+to the observer bus (:mod:`repro.obs.bus`), only reads ``sim.now`` and
+appends to host-side structures — it never schedules simulator events
+— so a collected run is bit-identical in simulated time to a bare one.
+The bus charges its handler time to the ``hooks.views`` hostprof
+bucket (see :mod:`repro.obs.hostprof`).
 
 Reconciliation contract: the views' signal totals equal the post-hoc
 collectors' aggregates on the same run — CAS attempts/misses match
@@ -149,11 +150,14 @@ class ViewCollector:
     """Bounded-memory sliding-window telemetry views on the sim clock.
 
     See the module docstring for the install pattern, the off-by-
-    default guarantee, and the reconciliation contract. Hook methods
-    (``note_*``) are called by the engine, client, and net layers;
+    default guarantee, and the reconciliation contract. Bus handlers
+    (``note_*``) take the engine, client, and net events;
     query methods (:meth:`rate`, :meth:`ewma`, :meth:`quantile`) are
     safe to call from inside a running simulation process.
     """
+
+    #: host-profiler bucket the bus charges these handlers to
+    hostprof_bucket = "hooks.views"
 
     def __init__(self, window_us=DEFAULT_WINDOW_US,
                  n_buckets=DEFAULT_N_BUCKETS, max_keys=DEFAULT_MAX_KEYS,
@@ -194,22 +198,11 @@ class ViewCollector:
         self.end_us = None
 
     def bind(self, sim):
-        """Attach to the simulator (``sim.set_views`` calls this)."""
+        """Attach to the simulator (``sim.observe`` calls this)."""
         self._sim = sim
         return self
 
-    # -- hostprof accounting -------------------------------------------------
-
-    def _hp(self):
-        sim = self._sim
-        if sim is None:
-            return None
-        hp = sim.hostprof
-        if hp is not None and not hp._timing:
-            return None
-        return hp
-
-    # -- hot-path hooks ------------------------------------------------------
+    # -- bus events (see repro.obs.bus) ------------------------------------
 
     def _bucket(self):
         return int(self._sim._now // self.sub_us)
@@ -242,86 +235,44 @@ class ViewCollector:
                 ewma = self._ewmas[k] = _Ewma()
             ewma.update(sample)
 
-    def note_cas(self, conn, target, swapped):
+    def note_cas(self, conn, target, mode, swapped):
         """One CAS attempt by ``conn`` on ``target``; miss feeds the
         retry-rate views (per connection and per address)."""
-        hp = self._hp()
-        if hp is not None:
-            hp.enter("hooks.views")
-        try:
-            bucket = self._bucket()
-            self._count("cas_attempt", conn, bucket)
-            if not swapped:
-                self._count("cas_retry", conn, bucket)
-                self._count_key(target, bucket)
-            self._tick_probes(conn)
-        finally:
-            if hp is not None:
-                hp.exit()
+        bucket = self._bucket()
+        self._count("cas_attempt", conn, bucket)
+        if not swapped:
+            self._count("cas_retry", conn, bucket)
+            self._count_key(target, bucket)
+        self._tick_probes(conn)
 
-    def note_chase(self, conn, opname, hops):
+    def note_deref(self, conn, opname, hops, bounded):
         """Pointer-chase depth of one executed op (0 = direct)."""
-        hp = self._hp()
-        if hp is not None:
-            hp.enter("hooks.views")
-        try:
-            self._ewma_update("chase_depth", conn, hops)
-            hist = self._chase_hist.get(conn)
-            if hist is None:
-                hist = self._chase_hist[conn] = {}
-            hist[hops] = hist.get(hops, 0) + 1
-            self._tick_probes(conn)
-        finally:
-            if hp is not None:
-                hp.exit()
+        self._ewma_update("chase_depth", conn, hops)
+        hist = self._chase_hist.get(conn)
+        if hist is None:
+            hist = self._chase_hist[conn] = {}
+        hist[hops] = hist.get(hops, 0) + 1
+        self._tick_probes(conn)
 
-    def note_nak(self, conn, opname):
+    def note_nak(self, conn, opname, error):
         """An op by ``conn`` hard-NAK'd at the engine."""
-        hp = self._hp()
-        if hp is not None:
-            hp.enter("hooks.views")
-        try:
-            self._count("nak", conn, self._bucket())
-            self._tick_probes(conn)
-        finally:
-            if hp is not None:
-                hp.exit()
+        self._count("nak", conn, self._bucket())
+        self._tick_probes(conn)
 
-    def note_timeout(self, conn):
+    def note_timeout(self, conn, logical, req, dst, timeout_us):
         """A request by ``conn`` hit its ack timeout."""
-        hp = self._hp()
-        if hp is not None:
-            hp.enter("hooks.views")
-        try:
-            self._count("timeout", conn, self._bucket())
-            self._tick_probes(conn)
-        finally:
-            if hp is not None:
-                hp.exit()
+        self._count("timeout", conn, self._bucket())
+        self._tick_probes(conn)
 
-    def note_backoff(self, conn):
+    def note_backoff(self, conn, logical, attempt, backoff_us):
         """A request by ``conn`` entered retransmission backoff."""
-        hp = self._hp()
-        if hp is not None:
-            hp.enter("hooks.views")
-        try:
-            self._count("backoff", conn, self._bucket())
-            self._tick_probes(conn)
-        finally:
-            if hp is not None:
-                hp.exit()
+        self._count("backoff", conn, self._bucket())
+        self._tick_probes(conn)
 
-    def note_service_time(self, conn, latency_us):
+    def note_round_trip(self, conn, latency_us):
         """One client round trip by ``conn`` took ``latency_us``."""
-        hp = self._hp()
-        if hp is not None:
-            hp.enter("hooks.views")
-        try:
-            self._ewma_update("service_time_us", conn, latency_us)
-            self._tick_probes(conn)
-        finally:
-            if hp is not None:
-                hp.exit()
+        self._ewma_update("service_time_us", conn, latency_us)
+        self._tick_probes(conn)
 
     # -- queries -------------------------------------------------------------
 

@@ -110,6 +110,25 @@ class ChainResult:
         return self
 
 
+def abort_reason(results):
+    """Why a chain's OpResults did not commit, or None if it committed.
+
+    The first decisive op wins: a NAK names its error class, then a CAS
+    miss or a skipped op; a zero-op chain is ``"empty"``.
+    """
+    if results and results[-1].successful:
+        return None
+    for result in results:
+        if result.status is OpStatus.NAK:
+            return (type(result.error).__name__
+                    if result.error is not None else "nak")
+        if result.status is OpStatus.CAS_MISS:
+            return "cas_miss"
+        if result.status is OpStatus.SKIPPED:
+            return "skipped"
+    return "uncommitted" if results else "empty"
+
+
 class Connection:
     """Per-client NIC state: granted regions and redirect scratch slot."""
 
@@ -125,11 +144,24 @@ class Connection:
         self.granted_rkeys.add(rkey)
 
 
+class _Unobserved:
+    """Stand-in simulator for an engine run outside any simulation."""
+
+    obs = None
+
+
 class PrismEngine:
-    """Executes single operations and chains against server memory."""
+    """Executes single operations and chains against server memory.
+
+    ``sim`` is the simulator whose observer bus (``sim.obs``) receives
+    the engine's deref/CAS/NAK/ALLOCATE events; an engine driven
+    outside a simulation (unit tests) has none.
+    """
 
     def __init__(self, space, region_table, freelists=None,
-                 allow_extensions=True, allow_extended_atomics=True):
+                 allow_extensions=True, allow_extended_atomics=True,
+                 sim=None):
+        self.sim = sim if sim is not None else _Unobserved
         self.space = space
         self.regions = region_table
         self.freelists = freelists if freelists is not None else {}
@@ -140,19 +172,6 @@ class PrismEngine:
         #: ops and touched bytes per window (the engine itself is
         #: functional — time is charged by the owning backend)
         self.monitor = None
-        #: optional repro.obs.primitives.PrimitiveCollector recording
-        #: CAS outcomes, dereference depth, allocator watermarks, and
-        #: NAK reasons (wired by the owning backend from sim.primitives)
-        self.primitives = None
-        #: optional repro.obs.flight.FlightRecorder receiving CAS-miss
-        #: and NAK events on the executing operation's causal timeline
-        #: (wired by the owning backend from sim.flight)
-        self.flight = None
-        #: optional repro.obs.views.ViewCollector receiving per-
-        #: connection CAS/NAK/pointer-chase signals for the online
-        #: sliding-window views (wired by the owning backend from
-        #: sim.views)
-        self.views = None
 
     # -- protection helpers ------------------------------------------------
 
@@ -252,13 +271,9 @@ class PrismEngine:
             else:
                 raise InvalidOperation(f"unknown operation {op!r}")
         except (AccessViolation, AllocationFailure, InvalidOperation) as exc:
-            if self.primitives is not None:
-                self.primitives.note_nak(op.opname, exc)
-            if self.views is not None:
-                self.views.note_nak(connection.id, op.opname)
-            if self.flight is not None:
-                self.flight.record("op.nak", opname=op.opname,
-                                   error=type(exc).__name__)
+            obs = self.sim.obs
+            if obs is not None:
+                obs.note_nak(connection.id, op.opname, exc)
             return OpResult(OpStatus.NAK, error=exc), accesses
         self.ops_executed += 1
         if self.monitor is not None:
@@ -268,11 +283,10 @@ class PrismEngine:
 
     def _do_read(self, connection, op, accesses):
         target, length = self._resolve_read_target(connection, op, accesses)
-        if self.primitives is not None:
-            self.primitives.note_deref("READ", int(op.indirect),
-                                       bounded=op.bounded)
-        if self.views is not None:
-            self.views.note_chase(connection.id, "READ", int(op.indirect))
+        obs = self.sim.obs
+        if obs is not None:
+            obs.note_deref(connection.id, "READ", int(op.indirect),
+                           op.bounded)
         data = self.space.read(target, length)
         accesses.append(Access("r", self.space.domain(target), length))
         if op.redirect_to is not None:
@@ -296,13 +310,11 @@ class PrismEngine:
 
     def _do_write(self, connection, op, accesses):
         target, length = self._resolve_write_target(connection, op, accesses)
-        if self.primitives is not None:
-            self.primitives.note_deref(
-                "WRITE", int(op.addr_indirect) + int(op.data_indirect))
-        if self.views is not None:
-            self.views.note_chase(
-                connection.id, "WRITE",
-                int(op.addr_indirect) + int(op.data_indirect))
+        obs = self.sim.obs
+        if obs is not None:
+            obs.note_deref(connection.id, "WRITE",
+                           int(op.addr_indirect) + int(op.data_indirect),
+                           False)
         data = self._source_data(connection, op, op.length, accesses,
                                  "WRITE data source")
         data = data[:length]
@@ -318,14 +330,15 @@ class PrismEngine:
             raise InvalidOperation(
                 f"ALLOCATE: {len(op.data)} bytes exceeds buffer size "
                 f"{freelist.buffer_size} of {freelist.name}")
+        obs = self.sim.obs
         try:
             buffer_addr = freelist.pop()  # FreeListExhausted when empty
         except AllocationFailure:
-            if self.primitives is not None:
-                self.primitives.note_exhaustion(op.freelist, freelist)
+            if obs is not None:
+                obs.note_allocate(op.freelist, freelist, False)
             raise
-        if self.primitives is not None:
-            self.primitives.note_allocate(op.freelist, freelist)
+        if obs is not None:
+            obs.note_allocate(op.freelist, freelist, True)
         self._check_derived(connection, buffer_addr, freelist.buffer_size,
                             AccessFlags.WRITE, "ALLOCATE buffer")
         self.space.write(buffer_addr, op.data)
@@ -371,20 +384,12 @@ class PrismEngine:
 
         swapped = op.mode.compare(comparand & op.compare_mask,
                                   old & op.compare_mask)
-        if self.primitives is not None:
-            self.primitives.note_deref(
-                "CAS", int(op.target_indirect) + int(op.data_indirect))
-            self.primitives.note_cas(connection.id, target, op.mode, swapped)
-        if self.views is not None:
-            self.views.note_chase(
-                connection.id, "CAS",
-                int(op.target_indirect) + int(op.data_indirect))
-            self.views.note_cas(connection.id, target, swapped)
-        if self.flight is not None and not swapped:
-            # Only misses are flight-worthy: they are what retry storms
-            # on hot addresses are made of (forensics groups by target).
-            self.flight.record("cas.miss", target=target,
-                               mode=op.mode.value)
+        obs = self.sim.obs
+        if obs is not None:
+            obs.note_deref(connection.id, "CAS",
+                           int(op.target_indirect) + int(op.data_indirect),
+                           False)
+            obs.note_cas(connection.id, target, op.mode, swapped)
         if swapped:
             new = (old & ~op.swap_mask) | (operand & op.swap_mask)
             self.space.write(target, new.to_bytes(width, "little"))
@@ -429,6 +434,7 @@ class PrismEngine:
             if result.status is OpStatus.NAK:
                 aborted = True
             prev_ok = result.successful
-        if self.primitives is not None:
-            self.primitives.note_chain(ops, results)
+        obs = self.sim.obs
+        if obs is not None:
+            obs.note_chain(ops, results, None, abort_reason(results))
         return ChainResult(results)

@@ -36,7 +36,8 @@ class PrismServer:
         self.space = ServerAddressSpace(memory_bytes)
         self.regions = MemoryRegionTable()
         self.freelists = {}
-        self.engine = PrismEngine(self.space, self.regions, self.freelists)
+        self.engine = PrismEngine(self.space, self.regions, self.freelists,
+                                  sim=sim)
         self.backend = backend_cls(sim, self.engine, config,
                                    **(backend_kwargs or {}))
         # Register the on-NIC SRAM once; every connection gets this rkey
@@ -80,8 +81,9 @@ class PrismServer:
         base, rkey = self.add_region(buffer_size * buffer_count)
         qp.post_many(base + i * buffer_size for i in range(buffer_count))
         self.freelists[freelist_id] = qp
-        if self.sim.primitives is not None:
-            self.sim.primitives.register_freelist(freelist_id, qp)
+        obs = self.sim.obs
+        if obs is not None:
+            obs.note_freelist(freelist_id, qp)
         if self.sim.faults is not None:
             self.sim.faults.register_freelist(self, freelist_id, qp)
         return freelist_id, rkey

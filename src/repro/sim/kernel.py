@@ -19,6 +19,7 @@ import heapq
 from itertools import count
 
 from repro.obs import hostprof as _hostprof
+from repro.obs.bus import ObserverBus
 from repro.obs.trace import NULL_TRACER
 from repro.sim.events import (
     AllOf,
@@ -238,18 +239,16 @@ class Process(Event):
 class Simulator:
     """Deterministic discrete-event simulator with a microsecond clock.
 
-    Observability: ``tracer`` defaults to the no-op
-    :data:`~repro.obs.trace.NULL_TRACER`; :meth:`set_tracer` installs a
-    recording :class:`~repro.obs.trace.Tracer` (binding it to this
-    clock) so instrumented layers emit spans and process lifetimes are
-    reported to the tracer's kernel hooks. ``utilization`` defaults to
-    None; :meth:`set_utilization` installs a
-    :class:`~repro.obs.timeline.UtilizationCollector` *before* system
-    construction so every contended resource created on this simulator
-    self-registers for busy/queue accounting. ``events_executed``
-    counts queue entries run — a cheap health counter the metrics
-    registry can absorb. (Tombstoned — cancelled — timers are skipped,
-    not run, so they are not counted.)
+    Observability: :meth:`observe` installs collectors (see
+    :mod:`repro.obs.bus`). Hook sites emit events on ``obs``, None
+    while no installed collector handles any; a tracer also becomes
+    ``tracer`` (default the no-op
+    :data:`~repro.obs.trace.NULL_TRACER`), a utilization collector
+    ``utilization`` (read when resources are constructed) and a flight
+    recorder ``flight`` (read by the process-context hooks).
+    ``events_executed`` counts queue entries run — a cheap health
+    counter the metrics registry can absorb. (Tombstoned — cancelled —
+    timers are skipped, not run, so they are not counted.)
     """
 
     def __init__(self):
@@ -261,62 +260,45 @@ class Simulator:
         self._failed_processes = []
         self.tracer = NULL_TRACER
         self.utilization = None
-        self.primitives = None
-        self.faults = None
         self.flight = None
-        self.series = None
-        self.views = None
+        self.faults = None
+        self.obs = None
         # Adopt the ambient host profiler, if one is active (None in
         # normal runs; standalone --profile scripts activate one).
         self.hostprof = _hostprof.ACTIVE
         self.events_executed = 0
 
-    def set_tracer(self, tracer):
-        """Install (and bind) a tracer; returns it for chaining."""
-        self.tracer = tracer.bind(self)
-        return tracer
-
-    def set_utilization(self, collector):
-        """Install (and bind) a utilization collector; returns it.
-
-        Monitors integrate state at event transitions and never
-        schedule events of their own, so a collected run's timing is
-        bit-identical to an uncollected one.
-        """
-        self.utilization = collector.bind(self)
-        return collector
-
-    def _install_collector(self, attr, collector):
-        """Shared install-before-construction contract for collectors.
-
-        Every ``set_<attr>`` routes through here: the collector is
-        bound to this simulator and stored on ``self.<attr>`` so hook
-        sites see it with one attribute read. Installation after the
-        simulation has started executing is a programming error — the
-        collector would have missed registrations and transitions and
-        its counts would silently disagree with the run — so it raises
-        instead of half-collecting.
-        """
+    def _check_not_started(self, installer):
+        """Installation after the simulation has started executing is a
+        programming error — the installed object would have missed
+        registrations and transitions and its counts would silently
+        disagree with the run — so it raises instead of half-working."""
         if self._now > 0.0 or self.events_executed:
             raise SimulationError(
-                f"set_{attr}: collectors must be installed before the "
-                f"simulation runs (now={self._now:g} µs, "
-                f"{self.events_executed} events executed) — install via "
-                f"sim.set_{attr}(...) before system construction so every "
-                "registration and transition is seen from time zero")
-        bound = collector.bind(self)
-        setattr(self, attr, bound)
-        return bound
+                f"{installer}: install before the simulation runs "
+                f"(now={self._now:g} µs, {self.events_executed} events "
+                f"executed) — call sim.{installer}(...) before system "
+                "construction so every registration and transition is "
+                "seen from time zero")
 
-    def set_primitives(self, collector):
-        """Install (and bind) a primitive-telemetry collector; returns it.
+    def observe(self, *collectors):
+        """Install (and bind) observers, before system construction.
 
-        Like :meth:`set_utilization`: install before system
-        construction so engines/backends/apps pick it up. The collector
-        only increments counters at transitions the run already makes,
-        so timing stays bit-identical (see :mod:`repro.obs.primitives`).
+        Each collector subscribes to the bus events it has handlers for
+        (:mod:`repro.obs.bus`); a collector naming a ``sim_attr`` (the
+        tracer, the utilization collector, the flight recorder) is also
+        stored on that attribute. Collectors only observe transitions
+        the run already makes, so simulated timing stays bit-identical.
         """
-        return self._install_collector("primitives", collector)
+        self._check_not_started("observe")
+        for collector in collectors:
+            collector.bind(self)
+            attr = getattr(collector, "sim_attr", None)
+            if attr is not None:
+                setattr(self, attr, collector)
+        installed = self.obs.collectors if self.obs is not None else ()
+        bus = ObserverBus(installed + collectors, self.hostprof)
+        self.obs = bus if bus.subscribed else None
 
     def set_faults(self, plan):
         """Install (and bind) a fault injector for ``plan``; returns it.
@@ -329,55 +311,11 @@ class Simulator:
         contract as the observability collectors.
         """
         from repro.faults.injector import FaultInjector
+        self._check_not_started("set_faults")
         injector = (plan if isinstance(plan, FaultInjector)
                     else FaultInjector(plan))
-        return self._install_collector("faults", injector)
-
-    def set_flight(self, recorder):
-        """Install (and bind) a flight recorder; returns it for chaining.
-
-        Install *before* system construction — same contract as the
-        other collectors. The kernel then tells the recorder which
-        process executes each step, and a process spawned while another
-        runs inherits its operation context, so fabric deliveries,
-        server handlers, and replies attribute their flight events to
-        the originating client operation without any id plumbing. The
-        recorder only appends to a host-side ring buffer — it never
-        reads or schedules simulator events — so a recorded run stays
-        bit-identical in simulated time (see :mod:`repro.obs.flight`).
-        """
-        return self._install_collector("flight", recorder)
-
-    def set_series(self, collector):
-        """Install a windowed time-series collector; returns it.
-
-        Install *before* system construction — same contract as the
-        other collectors. The workload driver then buckets operation
-        completions and the net/fault layers bucket recovery counters
-        into fixed-width windows on the simulated clock (see
-        :mod:`repro.obs.series`). The collector only appends to
-        host-side dictionaries at transitions the run already makes,
-        so a collected run stays bit-identical in simulated time.
-        """
-        return self._install_collector("series", collector)
-
-    def set_views(self, collector):
-        """Install sliding-window telemetry views; returns the collector.
-
-        Install *before* system construction — same contract as the
-        other collectors. The engine, clients, and net layer then feed
-        per-connection/per-key windowed signals (CAS retry rate, NAK
-        rate, pointer-chase depth, timeout/backoff rate, service-time
-        EWMA) that are queryable *mid-run* via
-        :meth:`repro.obs.views.ViewCollector.rate` /
-        :meth:`~repro.obs.views.ViewCollector.ewma`, and registered
-        probes log shadow policy decisions. The collector only reads
-        the simulated clock and updates host-side rings at transitions
-        the run already makes — it never schedules events — so a
-        collected run stays bit-identical in simulated time (see
-        :mod:`repro.obs.views`).
-        """
-        return self._install_collector("views", collector)
+        self.faults = injector.bind(self)
+        return self.faults
 
     def set_hostprof(self, profiler):
         """Install a host-side self-profiler; returns it for chaining.
@@ -393,6 +331,9 @@ class Simulator:
         """
         self.hostprof = profiler
         _hostprof.activate(profiler)
+        if self.obs is not None:
+            # Re-wire so handlers with a hostprof bucket charge to it.
+            self.obs = ObserverBus(self.obs.collectors, profiler)
         return profiler
 
     @property
@@ -490,9 +431,6 @@ class Simulator:
 
     # -- kernel internals -------------------------------------------------
 
-    def _enqueue_triggered(self, event):
-        self._ready.append(event)
-
     def _note_timer_cancelled(self):
         """A heap-resident timer was tombstoned; compact when they dominate."""
         self._cancelled_timers += 1
@@ -529,7 +467,9 @@ class Simulator:
         observing its completion) re-raises here at the end of the run.
         """
         if self.hostprof is not None:
-            return self._run_profiled(until)
+            self._run_profiled(until)
+            self._raise_orphan_failures()
+            return self._now
         ready = self._ready
         queue = self._queue
         pop = heapq.heappop
@@ -568,11 +508,13 @@ class Simulator:
         self._raise_orphan_failures()
         return self._now
 
-    def _run_profiled(self, until):
-        """:meth:`run` with the host-profiler's wall-clock meters on.
+    def _run_profiled(self, until, process=None):
+        """The :meth:`run` loop — or, given ``process``, the
+        :meth:`run_until_complete` loop with ``until`` as its limit —
+        with the host-profiler's wall-clock meters on.
 
-        A separate loop so the unprofiled hot path stays exactly as it
-        was; the simulated schedule is identical — the profiler only
+        A separate loop so the unprofiled hot paths stay exactly as they
+        were; the simulated schedule is identical — the profiler only
         reads ``perf_counter`` around the same callbacks.
         """
         hp = self.hostprof
@@ -588,9 +530,17 @@ class Simulator:
         # attribute RMW per event is measurable); flushed on exit so
         # report() and nested runs see the true count.
         ev = hp.events
+
+        def timed(callback):
+            hp.begin_timed()
+            try:
+                callback()
+            finally:
+                hp.event_end()
+
         hp.run_begin()
         try:
-            while True:
+            while process is None or not process._processed:
                 while queue and queue[0][0] <= now:
                     obj = pop(queue)[2]
                     if obj.cancelled:
@@ -601,24 +551,24 @@ class Simulator:
                     if ev % stride:
                         obj.fire()
                     else:
-                        hp.begin_timed()
-                        try:
-                            obj.fire()
-                        finally:
-                            hp.event_end()
+                        timed(obj.fire)
+                    if process is not None and process._processed:
+                        break
+                if process is not None and process._processed:
+                    break
                 while ready:
                     executed += 1
                     ev += 1
                     if ev % stride:
                         ready.popleft()()
                     else:
-                        hp.begin_timed()
-                        try:
-                            ready.popleft()()
-                        finally:
-                            hp.event_end()
+                        timed(ready.popleft())
+                    if process is not None and process._processed:
+                        break
+                if process is not None and process._processed:
+                    break
                 if not queue:
-                    if until is not None:
+                    if process is None and until is not None:
                         self._now = until
                     break
                 when = queue[0][0]
@@ -636,17 +586,11 @@ class Simulator:
                 if ev % stride:
                     obj.fire()
                 else:
-                    hp.begin_timed()
-                    try:
-                        obj.fire()
-                    finally:
-                        hp.event_end()
+                    timed(obj.fire)
         finally:
             self.events_executed += executed
             hp.events = ev
             hp.run_end()
-        self._raise_orphan_failures()
-        return self._now
 
     def run_until_complete(self, process, limit=None):
         """Run until ``process`` finishes; return its value.
@@ -658,7 +602,7 @@ class Simulator:
         ``until`` — rather than sticking at the last executed event.
         """
         if self.hostprof is not None:
-            self._drain_profiled(process, limit)
+            self._run_profiled(limit, process)
         else:
             ready = self._ready
             queue = self._queue
@@ -709,83 +653,6 @@ class Simulator:
         if not process.ok:
             raise process.value
         return process.value
-
-    def _drain_profiled(self, process, limit):
-        """The :meth:`run_until_complete` loop under the host profiler."""
-        hp = self.hostprof
-        ready = self._ready
-        queue = self._queue
-        pop = heapq.heappop
-        now = self._now
-        stride = hp.stride
-        executed = 0
-        # The sampling counter lives in a local for the whole loop (an
-        # attribute RMW per event is measurable); flushed on exit so
-        # report() and nested runs see the true count.
-        ev = hp.events
-        hp.run_begin()
-        try:
-            while not process._processed:
-                while queue and queue[0][0] <= now:
-                    obj = pop(queue)[2]
-                    if obj.cancelled:
-                        self._cancelled_timers -= 1
-                        continue
-                    executed += 1
-                    ev += 1
-                    if ev % stride:
-                        obj.fire()
-                    else:
-                        hp.begin_timed()
-                        try:
-                            obj.fire()
-                        finally:
-                            hp.event_end()
-                    if process._processed:
-                        break
-                if process._processed:
-                    break
-                while ready:
-                    executed += 1
-                    ev += 1
-                    if ev % stride:
-                        ready.popleft()()
-                    else:
-                        hp.begin_timed()
-                        try:
-                            ready.popleft()()
-                        finally:
-                            hp.event_end()
-                    if process._processed:
-                        break
-                if process._processed:
-                    break
-                if not queue:
-                    break
-                when = queue[0][0]
-                if limit is not None and when > limit:
-                    self._now = limit
-                    break
-                obj = pop(queue)[2]
-                if obj.cancelled:
-                    self._cancelled_timers -= 1
-                    continue
-                now = when
-                self._now = when
-                executed += 1
-                ev += 1
-                if ev % stride:
-                    obj.fire()
-                else:
-                    hp.begin_timed()
-                    try:
-                        obj.fire()
-                    finally:
-                        hp.event_end()
-        finally:
-            self.events_executed += executed
-            hp.events = ev
-            hp.run_end()
 
     def _raise_orphan_failures(self):
         failures = self._failed_processes

@@ -63,6 +63,22 @@ def _accepts_span(executor):
     return False
 
 
+def _close_op(obs, start, finish, measured, info, root, recorder, counters):
+    """Account one finished operation (both drivers): emit its close
+    event, and record it when it falls in the measurement window."""
+    aborts = info.get("aborts", 0) if info else 0
+    retries = info.get("retries", 0) if info else 0
+    if obs is not None:
+        obs.note_op_close(finish - start, aborts, retries, measured)
+    if measured:
+        recorder.record(finish, finish - start)
+        counters["ops"] += 1
+        if root is not None:
+            root.annotate(measured=True)
+        counters["aborts"] += aborts
+        counters["retries"] += retries
+
+
 class ClosedLoopDriver:
     """Runs N closed-loop clients against an application adapter.
 
@@ -101,8 +117,7 @@ class ClosedLoopDriver:
             yield sim.timeout((index * self.GOLDEN % 1.0)
                               * self.stagger_us)
         traced = self.tracer.enabled
-        flight = sim.flight
-        series = sim.series
+        obs = sim.obs
         warmup_until = self.warmup_us
         end_time = warmup_until + self.measure_us
         next_op = workload.next_op
@@ -112,15 +127,14 @@ class ClosedLoopDriver:
         while sim._now < end_time:
             op = next_op()
             root = None
-            op_id = None
             start = sim._now
-            if flight is not None or traced:
+            if obs is not None or traced:
                 name = getattr(op, "kind", None) or type(op).__name__
                 label = labels.get(name)
                 if label is None:
                     label = labels[name] = f"op.{name}"
-            if flight is not None:
-                op_id = flight.op_open(label, client=index)
+            if obs is not None:
+                obs.note_op_open(label, index)
             if traced:
                 root = self.tracer.root(label, client=index)
                 if takes_span:
@@ -131,25 +145,9 @@ class ClosedLoopDriver:
             else:
                 info = yield from executor(op)
             finish = sim._now
-            measured = start >= warmup_until and finish <= end_time
-            aborts = info.get("aborts", 0) if info else 0
-            if op_id is not None:
-                flight.op_close(
-                    op_id, status="aborted" if aborts else "ok",
-                    latency_us=finish - start, aborts=aborts,
-                    retries=info.get("retries", 0) if info else 0,
-                    measured=measured)
-            if series is not None:
-                series.record_op(finish, finish - start, measured,
-                                 ok=not aborts)
-            if measured:
-                recorder.record(finish, finish - start)
-                counters["ops"] += 1
-                if root is not None:
-                    root.annotate(measured=True)
-                if info:
-                    counters["aborts"] += info.get("aborts", 0)
-                    counters["retries"] += info.get("retries", 0)
+            _close_op(obs, start, finish,
+                      start >= warmup_until and finish <= end_time, info,
+                      root, recorder, counters)
 
     def run(self):
         """Execute the experiment; returns a :class:`RunResult`."""
@@ -197,8 +195,8 @@ class OpenLoopDriver:
     in-flight window provides backpressure: a full window defers
     arrivals (counted, never dropped) until a completion frees a slot.
 
-    Measurement accounting (warmup window, latency recorder, series /
-    flight hooks) matches :class:`ClosedLoopDriver`, so results are
+    Measurement accounting (warmup window, latency recorder, op
+    open/close events) matches :class:`ClosedLoopDriver`, so results are
     comparable row for row; ``RunResult.clients`` is the *modeled*
     population, and ``extra`` carries the source model and the
     stalled-arrival count.
@@ -258,18 +256,16 @@ class OpenLoopDriver:
     def _op_runner(self, index, executor, op, recorder, counters, state,
                    takes_span):
         sim = self.sim
-        flight = sim.flight
-        series = sim.series
+        obs = sim.obs
         traced = self.tracer.enabled
         warmup_until = self.warmup_us
         end_time = warmup_until + self.measure_us
         start = sim._now
         root = None
-        op_id = None
-        if flight is not None or traced:
+        if obs is not None or traced:
             label = f"op.{getattr(op, 'kind', None) or type(op).__name__}"
-        if flight is not None:
-            op_id = flight.op_open(label, client=index)
+        if obs is not None:
+            obs.note_op_open(label, index)
         info = None
         try:
             if traced:
@@ -291,25 +287,9 @@ class OpenLoopDriver:
                 state["gate"] = None
                 gate.succeed()
         finish = sim._now
-        measured = start >= warmup_until and finish <= end_time
-        aborts = info.get("aborts", 0) if info else 0
-        if op_id is not None:
-            flight.op_close(
-                op_id, status="aborted" if aborts else "ok",
-                latency_us=finish - start, aborts=aborts,
-                retries=info.get("retries", 0) if info else 0,
-                measured=measured)
-        if series is not None:
-            series.record_op(finish, finish - start, measured,
-                             ok=not aborts)
-        if measured:
-            recorder.record(finish, finish - start)
-            counters["ops"] += 1
-            if root is not None:
-                root.annotate(measured=True)
-            if info:
-                counters["aborts"] += aborts
-                counters["retries"] += info.get("retries", 0)
+        _close_op(obs, start, finish,
+                  start >= warmup_until and finish <= end_time, info, root,
+                  recorder, counters)
 
     def run(self):
         """Execute the experiment; returns a :class:`RunResult`.

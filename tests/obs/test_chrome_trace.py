@@ -14,7 +14,8 @@ from repro.sim import Simulator
 
 def _traced_run():
     sim = Simulator()
-    tracer = sim.set_tracer(Tracer(trace_processes=True))
+    tracer = Tracer(trace_processes=True)
+    sim.observe(tracer)
 
     def op(name):
         with tracer.root(name) as root:
@@ -71,7 +72,8 @@ class TestToChromeEvents:
 
     def test_unfinished_spans_skipped(self):
         sim = Simulator()
-        tracer = sim.set_tracer(Tracer())
+        tracer = Tracer()
+        sim.observe(tracer)
         tracer.root("never-finished")
         assert to_chrome_events(tracer.roots) == []
 

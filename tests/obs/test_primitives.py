@@ -5,6 +5,7 @@ import pytest
 from repro.bench.harness import run_point
 from repro.core import CasMode
 from repro.obs import PrimitiveCollector, TopK
+from repro.prism.engine import OpResult, OpStatus, abort_reason
 from repro.workload import YCSB_A, YCSB_C
 
 
@@ -86,29 +87,26 @@ class TestCollectorUnits:
         assert report["open_retry_chains"] == 1
 
     def test_chain_classification(self):
-        class _Status:
-            def __init__(self, value):
-                self.value = value
-
-        class _Result:
-            def __init__(self, value, error=None):
-                self.status = _Status(value)
-                self.error = error
-
         class _Op:
             indirect = False
 
+        def chain(*results):
+            # The backend derives the abort reason once, with the
+            # engine's abort_reason, and carries it on the event.
+            collector.note_chain(ops, results, None, abort_reason(results))
+
         collector = PrimitiveCollector()
         ops = [_Op(), _Op(), _Op()]
+        ok, miss = OpResult(OpStatus.OK), OpResult(OpStatus.CAS_MISS)
+        skipped = OpResult(OpStatus.SKIPPED)
         # Committed chain: all ok.
-        collector.note_chain(ops, [_Result("ok")] * 3)
+        chain(ok, ok, ok)
         # Aborted on a CAS miss: trailing ops skipped.
-        collector.note_chain(ops, [_Result("cas_miss"), _Result("skipped"),
-                                   _Result("skipped")])
+        chain(miss, skipped, skipped)
         # Aborted on a NAK with a typed error.
-        collector.note_chain(ops, [_Result("ok"),
-                                   _Result("nak", error=KeyError("k")),
-                                   _Result("skipped")])
+        chain(ok, OpResult(OpStatus.NAK, error=KeyError("k")), skipped)
+        # A zero-op chain keeps its own label.
+        assert abort_reason([]) == "empty"
         report = collector.report()["chains"]
         assert report["requests"] == 3
         assert report["committed"] == 1
@@ -122,10 +120,10 @@ class TestCollectorUnits:
 
     def test_deref_and_nak(self):
         collector = PrimitiveCollector()
-        collector.note_deref("READ", 0)
-        collector.note_deref("READ", 1, bounded=True)
-        collector.note_deref("WRITE", 2)
-        collector.note_nak("READ", ValueError("bad"))
+        collector.note_deref(1, "READ", 0, False)
+        collector.note_deref(1, "READ", 1, True)
+        collector.note_deref(1, "WRITE", 2, False)
+        collector.note_nak(1, "READ", ValueError("bad"))
         report = collector.report()
         assert report["pointer_chase"]["depth_by_op"]["READ"] == [[0, 1],
                                                                   [1, 1]]
@@ -200,12 +198,12 @@ class TestEndToEnd:
         collector = PrimitiveCollector()
         qp = QueuePair(64, name="tiny")
         qp.post(0x1000)
-        collector.register_freelist(99, qp)
+        collector.note_freelist(99, qp)
         qp.pop()
-        collector.note_allocate(99, qp)
+        collector.note_allocate(99, qp, True)
         with pytest.raises(FreeListExhausted):
             qp.pop()
-        collector.note_exhaustion(99, qp)
+        collector.note_allocate(99, qp, False)
         row = next(r for r in collector.report()["allocator"]
                    if r["freelist"] == 99)
         assert row["exhaustions"] == 1

@@ -133,12 +133,14 @@ class TestCollectorAccounting:
         assert windows[2]["counters"] == {"timeouts": 3}
 
     def test_off_by_default(self):
-        assert Simulator().series is None
+        assert Simulator().obs is None
 
-    def test_set_series_binds(self):
+    def test_observe_subscribes_series(self):
         sim = Simulator()
-        series = sim.set_series(SeriesCollector())
-        assert sim.series is series
+        series = SeriesCollector()
+        sim.observe(series)
+        assert sim.obs.collectors == (series,)
+        assert series._sim is sim
 
 
 class TestDetectSteadyState:

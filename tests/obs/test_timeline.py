@@ -17,7 +17,9 @@ from repro.workload import YCSB_C
 
 
 def _collector(sim, window_us=10.0):
-    return sim.set_utilization(UtilizationCollector(window_us=window_us))
+    collector = UtilizationCollector(window_us=window_us)
+    sim.observe(collector)
+    return collector
 
 
 def _hold(sim, resource, duration):
@@ -193,7 +195,8 @@ class TestDeterminism:
 
     def test_default_window(self):
         sim = Simulator()
-        collector = sim.set_utilization(UtilizationCollector())
+        collector = UtilizationCollector()
+        sim.observe(collector)
         assert collector.window_us == DEFAULT_WINDOW_US
         resource = Resource(sim, name="auto")
         assert resource.monitor in collector.monitors

@@ -23,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench.harness import run_point
+from repro.core import CasMode
 from repro.obs import (
     PrimitiveCollector,
     RfpCrossoverProbe,
@@ -65,6 +66,10 @@ def _bound_views(**kwargs):
     return sim, views
 
 
+def _timeout(views, conn):
+    views.note_timeout(conn, None, 1, "server", 10.0)
+
+
 # -- window mechanics --------------------------------------------------------
 
 
@@ -72,14 +77,14 @@ class TestWindows:
     def test_rate_is_windowed_sum_over_window(self):
         sim, views = _bound_views(window_us=50.0, n_buckets=8)
         for _ in range(10):
-            views.note_cas(1, 0x100, swapped=False)
+            views.note_cas(1, 0x100, CasMode.EQ, False)
         # 10 retries in a 50 µs window = 200k events/s.
         assert views.rate("cas_retry", 1) == pytest.approx(200_000.0)
         assert views.rate("cas_attempt", 1) == pytest.approx(200_000.0)
 
     def test_events_age_out_after_the_window(self):
         sim, views = _bound_views(window_us=50.0, n_buckets=8)
-        views.note_cas(1, 0x100, swapped=False)
+        views.note_cas(1, 0x100, CasMode.EQ, False)
         assert views.rate("cas_retry", 1) > 0
         sim._now = 49.0
         assert views.rate("cas_retry", 1) > 0
@@ -91,9 +96,9 @@ class TestWindows:
 
     def test_partial_eviction_keeps_recent_buckets(self):
         sim, views = _bound_views(window_us=80.0, n_buckets=8)
-        views.note_timeout("c0")          # t=0, sub-bucket 0
+        _timeout(views, "c0")              # t=0, sub-bucket 0
         sim._now = 70.0                    # sub-bucket 7: 0 still live
-        views.note_timeout("c0")
+        _timeout(views, "c0")
         assert views.rate("timeout", "c0") == pytest.approx(2 / 80e-6)
         sim._now = 85.0                    # sub-bucket 10 > 8: bucket 0 gone
         assert views.rate("timeout", "c0") == pytest.approx(1 / 80e-6)
@@ -122,7 +127,7 @@ class TestKeyEviction:
         sim, views = _bound_views(window_us=50.0, max_keys=16)
         for i in range(64):
             sim._now = float(i)
-            views.note_cas(1, 0x1000 + i, swapped=False)
+            views.note_cas(1, 0x1000 + i, CasMode.EQ, False)
         assert len(views._key_rings) <= 16
         assert views.evicted_keys == 64 - 16
         # The freshest keys survive; the stalest were evicted.
@@ -141,7 +146,7 @@ class TestEwmaAndSketch:
         for sample in samples[1:]:
             expected = EWMA_ALPHA * sample + (1 - EWMA_ALPHA) * expected
         for sample in samples:
-            views.note_service_time(7, sample)
+            views.note_round_trip(7, sample)
         assert views.ewma("service_time_us", 7) == pytest.approx(expected)
         # conn=None is the global view, fed by every connection.
         assert views.ewma("service_time_us") == pytest.approx(expected)
@@ -149,7 +154,7 @@ class TestEwmaAndSketch:
     def test_chase_depth_quantile_over_exact_histogram(self):
         sim, views = _bound_views()
         for hops in [0] * 90 + [1] * 9 + [2]:
-            views.note_chase(3, "READ", hops)
+            views.note_deref(3, "READ", hops, False)
         assert views.quantile("chase_depth", 0.5, 3) <= 1.0
         assert views.quantile("chase_depth", 0.99, 3) >= 1.0
         assert 0.0 <= views.ewma("chase_depth", 3) <= 2.0
@@ -192,26 +197,26 @@ class TestProbes:
                 seen.append((conn, window_start_us))
 
         views.add_probe(Spy())
-        views.note_timeout("a")
-        views.note_timeout("a")          # same window: no re-evaluation
+        _timeout(views, "a")
+        _timeout(views, "a")             # same window: no re-evaluation
         sim._now = 75.0
-        views.note_timeout("a")          # window 1
-        views.note_timeout("b")          # other conn, same window
+        _timeout(views, "a")             # window 1
+        _timeout(views, "b")             # other conn, same window
         assert seen == [("a", 0.0), ("a", 50.0), ("b", 50.0)]
 
     def test_rfp_probe_logs_first_eval_and_transitions_only(self):
         sim, views = _bound_views(window_us=50.0)
         probe = views.add_probe(RfpCrossoverProbe(cas_retry_per_s=50_000.0))
-        views.note_cas(1, 0x10, swapped=True)   # quiet: one-sided verdict
+        views.note_cas(1, 0x10, CasMode.EQ, True)  # quiet: one-sided
         assert [d["verdict"] for d in views.decision_log()] == ["one-sided"]
         # Storm of misses in window 1; probes evaluate on the *first*
         # event of a window, so the verdict flips at the next window
         # boundary while the storm is still inside the sliding window.
         sim._now = 60.0
         for _ in range(20):
-            views.note_cas(1, 0x10, swapped=False)
+            views.note_cas(1, 0x10, CasMode.EQ, False)
         sim._now = 101.0
-        views.note_cas(1, 0x10, swapped=False)
+        views.note_cas(1, 0x10, CasMode.EQ, False)
         log = views.decision_log()
         assert [d["verdict"] for d in log] == ["one-sided", "rpc"]
         assert log[-1]["name"] == probe.name
@@ -219,9 +224,9 @@ class TestProbes:
         # Staying contended across the next window logs nothing new.
         sim._now = 110.0
         for _ in range(20):
-            views.note_cas(1, 0x10, swapped=False)
+            views.note_cas(1, 0x10, CasMode.EQ, False)
         sim._now = 151.0
-        views.note_cas(1, 0x10, swapped=False)
+        views.note_cas(1, 0x10, CasMode.EQ, False)
         assert len(views.decision_log()) == 2
 
 
@@ -229,12 +234,10 @@ class TestProbes:
 
 
 class TestInstallContract:
-    @pytest.mark.parametrize("setter,collector", [
-        ("set_views", ViewCollector()),
-        ("set_primitives", PrimitiveCollector()),
-        ("set_series", SeriesCollector()),
-    ])
-    def test_late_install_raises(self, setter, collector):
+    @pytest.mark.parametrize("collector", [
+        ViewCollector(), PrimitiveCollector(), SeriesCollector(),
+    ], ids=["views", "primitives", "series"])
+    def test_late_install_raises(self, collector):
         sim = Simulator()
 
         def proc():
@@ -244,7 +247,7 @@ class TestInstallContract:
         sim.run()
         assert sim.events_executed > 0
         with pytest.raises(SimulationError, match="before the"):
-            getattr(sim, setter)(collector)
+            sim.observe(collector)
 
     def test_late_flight_and_faults_install_raise(self):
         from repro.faults import parse_faults
@@ -256,15 +259,17 @@ class TestInstallContract:
 
         sim.spawn(proc())
         sim.run()
-        with pytest.raises(SimulationError, match="set_flight"):
-            sim.set_flight(FlightRecorder())
+        with pytest.raises(SimulationError, match="observe"):
+            sim.observe(FlightRecorder())
+        assert sim.flight is None
         with pytest.raises(SimulationError, match="set_faults"):
             sim.set_faults(parse_faults("seed=1,drop=0.01"))
 
     def test_install_before_run_still_works(self):
         sim = Simulator()
-        views = sim.set_views(ViewCollector())
-        assert sim.views is views
+        views = ViewCollector()
+        sim.observe(views)
+        assert sim.obs.collectors == (views,)
 
 
 # -- identity ----------------------------------------------------------------
