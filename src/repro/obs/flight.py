@@ -23,8 +23,8 @@ schedules simulator events — it only appends to a host-side deque — so
 a recorded run is also bit-identical in simulated time.
 
 Causal attribution works without threading ids through any call
-signature: the kernel tells the recorder which :class:`Process` is
-executing (an enter/exit stack in ``Process._step``), the driver's
+signature: the kernel records which :class:`Process` is executing
+(``Simulator.active_process``, set around each step), the workload's
 ``op_open`` event binds the new operation's id to its process, and a
 process spawned while another runs *inherits* the spawner's operation
 context. Since the fabric spawns delivery from the sender's process,
@@ -58,7 +58,8 @@ class FlightRecorder:
     ``capacity`` events; ``evicted`` counts what fell off the front.
     """
 
-    #: the Simulator attribute the kernel's process-context hooks read
+    #: the Simulator attribute a spawning process reads to inherit
+    #: its spawner's operation context
     sim_attr = "flight"
 
     def __init__(self, capacity=DEFAULT_CAPACITY):
@@ -71,27 +72,21 @@ class FlightRecorder:
         self.ops_closed = 0
         self._sim = None
         self._op_ids = count(1)
-        #: kernel-maintained stack of executing processes (nested only
-        #: for the yield-bad-target error path); the top's context is
-        #: the operation every recorded event belongs to
-        self._stack = []
 
     def bind(self, sim):
         """Attach to the simulator (``sim.observe`` calls this)."""
         self._sim = sim
         return self
 
-    # -- kernel hooks (Process._step / Process.__init__) -------------------
+    # -- process context (read from the kernel) ----------------------------
 
-    def enter_process(self, process):
-        self._stack.append(process)
-
-    def exit_process(self):
-        self._stack.pop()
+    def _active_process(self):
+        return None if self._sim is None else self._sim.active_process
 
     def current_ctx(self):
         """The operation id of the currently executing process (or None)."""
-        return self._stack[-1]._flight_ctx if self._stack else None
+        process = self._active_process()
+        return None if process is None else process._flight_ctx
 
     # -- bus events (see repro.obs.bus) ------------------------------------
 
@@ -99,8 +94,9 @@ class FlightRecorder:
         """A client operation begins; binds its id to the current process."""
         op_id = next(self._op_ids)
         self.ops_opened += 1
-        if self._stack:
-            self._stack[-1]._flight_ctx = op_id
+        process = self._active_process()
+        if process is not None:
+            process._flight_ctx = op_id
         self.record("op.open", op=op_id, name=name, client=client)
 
     def note_op_close(self, latency_us, aborts, retries, measured):
@@ -109,8 +105,9 @@ class FlightRecorder:
         self.record("op.close", status="aborted" if aborts else "ok",
                     latency_us=latency_us, aborts=aborts, retries=retries,
                     measured=measured)
-        if self._stack:
-            self._stack[-1]._flight_ctx = None
+        process = self._active_process()
+        if process is not None:
+            process._flight_ctx = None
 
     def note_send(self, logical, req, dst, service):
         self.record("req.send", logical=logical, req=req, dst=dst,

@@ -14,7 +14,7 @@ item 1 ("10x events/sec") is judged against. Three pieces:
   ========  =====================================================
   dispatch  kernel event dispatch (callback execution, exclusive
             of the nested buckets below)
-  resume    driving process generators (``Process._step``)
+  resume    driving process generators (``Process._resume``)
   resource  ``Resource.acquire``/``release`` and ``Store`` put/get
   codec     ``repro.hw`` codec pack/unpack (layout structs,
             memory integer codecs)

@@ -183,12 +183,11 @@ class PrismEngine:
 
     def _check_derived(self, connection, addr, length, need, what):
         """A derived address must fall inside *some* granted region."""
+        permitting = self.regions.permitting
+        mask = need.value
         for rkey in connection.granted_rkeys:
-            try:
-                self.regions.check(addr, length, rkey, need)
+            if permitting(addr, length, rkey, mask) is not None:
                 return
-            except AccessViolation:
-                continue
         raise AccessViolation(
             f"{what}: [{addr}, {addr + length}) not covered by any region "
             f"granted to connection {connection.id}")

@@ -46,6 +46,8 @@ class PrismServer:
             self.space.sram_base, self.space.sram_bytes, AccessFlags.ALL)
         self._shared_rkeys = {self.sram_rkey}
         self.connections = {}
+        # Name of every request-handler process, built once.
+        self._handler_name = f"{service}@{host_name}"
         self.failed = False
         self.requests_dropped = 0
         fabric.host(host_name).register_service(service, self._on_request)
@@ -142,8 +144,7 @@ class PrismServer:
         if self.failed:
             self.requests_dropped += 1
             return
-        self.sim.spawn(self._serve(message),
-                       name=f"{self.service}@{self.host_name}")
+        self.sim.spawn(self._serve(message), name=self._handler_name)
 
     def _serve(self, message):
         request = message.payload
@@ -157,11 +158,17 @@ class PrismServer:
                 RemoteNak(f"unknown connection {connection_id}"), 12,
                 ok=False, span=root)
             return
-        with root.child("server.process", phase="queue",
-                        host=self.host_name,
-                        backend=self.backend.label) as span:
+        # Untraced requests skip the null span's child() and context
+        # manager: three calls per request for nothing.
+        span = (root.child("server.process", phase="queue",
+                           host=self.host_name, backend=self.backend.label)
+                if root.enabled else root)
+        try:
             result = yield from self.backend.process(
                 connection, ops, span=span, logical=request.logical_id)
+        finally:
+            if span is not root:
+                span.finish()
         size = self._response_bytes(ops, result)
         yield from send_reply(self.fabric, self.host_name, request,
                               result, size, span=root)

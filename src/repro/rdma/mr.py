@@ -70,21 +70,34 @@ class MemoryRegionTable:
         except KeyError:
             raise AccessViolation(f"unknown rkey {rkey:#x}") from None
 
+    def permitting(self, addr, length, rkey, mask):
+        """The region ``rkey`` names if it grants every permission bit
+        in ``mask`` (an :class:`AccessFlags` value as a plain int) and
+        covers ``[addr, addr + length)``; None otherwise. Never raises:
+        this is the one coverage test, shared by :meth:`check` and by
+        the engine's scan over a connection's granted regions."""
+        region = self._regions.get(rkey)
+        if region is None or mask & ~region._mask:
+            return None
+        start = region.start
+        if addr < start or addr + length > start + region.length:
+            return None
+        return region
+
     def check(self, addr, length, rkey, need):
         """Validate an access of ``length`` bytes at ``addr`` under ``rkey``.
 
         Returns the region on success; raises :class:`AccessViolation`
         otherwise.
         """
-        try:
-            region = self._regions[rkey]
-        except KeyError:
-            raise AccessViolation(f"unknown rkey {rkey:#x}") from None
+        region = self.permitting(addr, length, rkey, need.value)
+        if region is not None:
+            return region
+        region = self._regions.get(rkey)
+        if region is None:
+            raise AccessViolation(f"unknown rkey {rkey:#x}")
         if need.value & ~region._mask:
             raise AccessViolation(
                 f"rkey {rkey:#x} lacks {need} (has {region.flags})")
-        start = region.start
-        if addr < start or addr + length > start + region.length:
-            raise AccessViolation(
-                f"[{addr}, {addr + length}) outside region {region!r}")
-        return region
+        raise AccessViolation(
+            f"[{addr}, {addr + length}) outside region {region!r}")

@@ -132,8 +132,9 @@ class Event:
 
     def discard_callback(self, callback):
         """Remove ``callback`` if attached; no-op otherwise."""
-        if callback in self.callbacks:
-            self.callbacks.remove(callback)
+        callbacks = self.callbacks
+        if callbacks and callback in callbacks:
+            callbacks.remove(callback)
 
     def waiter_detached(self, callback):
         """A process that was waiting on this event went away
@@ -158,7 +159,11 @@ class Event:
 
     def _process(self):
         self._processed = True
-        callbacks, self.callbacks = self.callbacks, []
+        callbacks = self.callbacks
+        # Dropped, not replaced by a fresh list: a callback added from
+        # now on goes through ``_LateCall``, and letting go of the list
+        # breaks the event -> waiter -> generator frame -> event cycle.
+        self.callbacks = None
         for callback in callbacks:
             callback(self)
 
@@ -202,16 +207,26 @@ class TimerEvent(Event):
 
     def fire(self):
         """Heap-pop path: trigger (the kernel already checked ``cancelled``)."""
-        self.succeed(self._fire_value)
+        # Inlined Event.succeed: one frame per timer instead of two.
+        if self._triggered:
+            raise SimulationError("event has already been triggered")
+        self._ok = True
+        self._value = self._fire_value
+        self._triggered = True
+        self.sim._ready.append(self)
 
     def __call__(self):
         """Ready-deque path: a pending entry is a zero-delay timer
         firing (unless cancelled); a triggered entry is running its
-        callbacks, like any other event."""
+        callbacks, like any other event (``_process`` inlined)."""
         if self._triggered:
-            self._process()
+            self._processed = True
+            callbacks = self.callbacks
+            self.callbacks = None
+            for callback in callbacks:
+                callback(self)
         elif not self.cancelled:
-            self.succeed(self._fire_value)
+            self.fire()
 
     def cancel(self):
         if self.cancelled or self._triggered:

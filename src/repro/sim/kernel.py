@@ -16,6 +16,7 @@ yields must be an :class:`~repro.sim.events.Event` (or another
 """
 
 import heapq
+from functools import partial
 from itertools import count
 
 from repro.obs import hostprof as _hostprof
@@ -55,6 +56,26 @@ class _ScheduledCall:
         self.cancelled = False
 
 
+class _Wake:
+    """A wake-up that no real event carries: the first step of a process
+    (send ``None``) and an exception thrown into it (an
+    :class:`~repro.sim.events.Interrupt`, the bad-yield error). It reads
+    like a triggered event to :meth:`Process._resume`, so every step of
+    every process runs through that one body."""
+
+    __slots__ = ("_ok", "_value")
+
+    def __init__(self, ok, value):
+        self._ok = ok
+        self._value = value
+
+
+#: the wake-up that runs a new process's generator to its first yield.
+#: An interrupt in the spawn instant can get there first; the process
+#: is then finished or waiting, and ``_resume`` drops this wake-up.
+_START = _Wake(True, None)
+
+
 class Process(Event):
     """A running generator coroutine; also the event of its completion.
 
@@ -62,14 +83,32 @@ class Process(Event):
     exception inside the generator fails the completion event, and —
     if nothing is waiting on the process — propagates out of
     ``Simulator.run`` so bugs never pass silently.
+
+    ``_wake`` (the callback every waited event runs) and ``_send`` (the
+    generator's ``send``) are bound once per process instead of once
+    per wait. ``_wake`` refers back to the process, so both are cleared
+    when the generator finishes: a finished process must not be a
+    reference cycle, because the benchmark harness pauses the garbage
+    collector for the measured run.
     """
 
-    __slots__ = ("_generator", "_waiting_on", "name", "_ever_waited",
-                 "_flight_ctx")
+    __slots__ = ("_generator", "_send", "_wake", "_waiting_on", "name",
+                 "_ever_waited", "_flight_ctx")
 
     def __init__(self, sim, generator, name=None):
-        super().__init__(sim)
+        # Inlined Event.__init__ (see TimerEvent).
+        self.sim = sim
+        self.callbacks = []
+        self._value = None
+        self._ok = None
+        self._triggered = False
+        self._processed = False
         self._generator = generator
+        self._send = generator.send
+        # The host profiler, if any, is installed before processes are
+        # spawned; only then does a resume take the bracketed path.
+        self._wake = (self._resume if sim.hostprof is None
+                      else self._resume_profiled)
         self._waiting_on = None
         self._ever_waited = False
         self.name = name or getattr(generator, "__name__", "process")
@@ -81,15 +120,7 @@ class Process(Event):
         tracer = sim.tracer
         if tracer.trace_processes:
             tracer.process_started(self)
-        sim._ready.append(self._bootstrap)
-
-    def _bootstrap(self):
-        # Guard against a resume that beat the bootstrap to the deque
-        # (an interrupt in the spawn instant): the generator is then
-        # already past its first yield, or finished.
-        if self._triggered or self._waiting_on is not None:
-            return
-        self._step(self._generator.send, None)
+        sim._ready.append(partial(self._wake, _START))
 
     def add_callback(self, callback):
         self._ever_waited = True
@@ -116,121 +147,108 @@ class Process(Event):
             if self._triggered:
                 return
             self._detach_from_waited_event()
-            self._step(self._generator.throw, Interrupt(cause))
+            self._wake(_Wake(False, Interrupt(cause)))
         return resume
 
     def _detach_from_waited_event(self):
         waited = self._waiting_on
         self._waiting_on = None
         if waited is not None:
+            if isinstance(waited, Process):
+                # This waiter observed the child, even though it leaves
+                # before the child's completion sees it (see __call__).
+                waited._ever_waited = True
             # Let the event (and, for composites, its sub-events)
             # know the waiter is gone so resource-backed events can
             # withdraw queued claims or hand back granted slots.
-            waited.waiter_detached(self._resume)
+            waited.waiter_detached(self._wake)
 
     def _resume(self, event):
+        """Advance the generator with ``event``'s outcome and wait on
+        whatever it yields next: the body of every step."""
         if self._triggered:
             return
-        if self._waiting_on is not None and event is not self._waiting_on:
-            # Stale wake-up from an event this process detached from
-            # (it was already processed when the interrupt landed, so
-            # its callback sat in the queue instead of on the event).
-            # Resuming here would drive the generator at the wrong
-            # yield point — once for the stale event and again for the
-            # one it is actually waiting on.
-            return
-        self._waiting_on = None
-        if event._ok:
-            self._step(self._generator.send, event._value)
-        else:
-            self._step(self._generator.throw, event._value)
-
-    def _step(self, advance, arg):
-        # ``advance`` is the generator's bound ``send``/``throw`` and
-        # ``arg`` its payload — passed unpacked so resuming allocates
-        # no closure.
+        waiting = self._waiting_on
+        if waiting is not None:
+            if waiting is not event:
+                # Stale wake-up from an event this process detached
+                # from (it was already processed when the interrupt
+                # landed, so its callback sat in the queue instead of
+                # on the event). Resuming here would drive the
+                # generator at the wrong yield point — once for the
+                # stale event and again for the one it waits on.
+                return
+            self._waiting_on = None
         sim = self.sim
-        # Host-profiling hook: resume accounting (off => one None check).
-        hp = sim.hostprof
-        # Flight-recorder hook: who is executing (off => one None check).
-        fl = sim.flight
-        if hp is not None:
-            hp.resumes += 1
-            if not hp._timing:
-                # Unsampled resume (stride sampling): the counter stays
-                # exact, but bucket attribution is off for this event —
-                # skip the paired enter/exit calls entirely.
-                hp = None
-        if hp is None and fl is None:
-            try:
-                target = advance(arg)
-            except StopIteration as stop:
-                self.succeed(getattr(stop, "value", None))
-                tracer = sim.tracer
-                if tracer.trace_processes:
-                    tracer.process_finished(self)
-                return
-            except Exception as exc:
-                self._fail_or_crash(exc)
-                return
-            if isinstance(target, Event):
-                self._waiting_on = target
-                # Inlined Event.add_callback — one call per resume on
-                # the hottest kernel path. Waiting on a child process
-                # must still mark it observed (orphan-failure triage).
-                if isinstance(target, Process):
-                    target._ever_waited = True
-                if target._processed:
-                    sim._ready.append(_LateCall(self._resume, target))
-                else:
-                    target.callbacks.append(self._resume)
-            else:
-                message = (
-                    f"process {self.name!r} yielded {target!r}; processes "
-                    "may only yield Event instances (use 'yield from' to "
-                    "call sub-generators)")
-                self._step(self._generator.throw, SimulationError(message))
-            return
-        if hp is not None:
-            hp.enter("resume")
-        if fl is not None:
-            fl.enter_process(self)
+        # Who is executing: the flight recorder's causal context.
+        sim.active_process = self
         try:
-            try:
-                target = advance(arg)
-            except StopIteration as stop:
-                self.succeed(getattr(stop, "value", None))
-                tracer = sim.tracer
-                if tracer.trace_processes:
-                    tracer.process_finished(self)
-                return
-            except Exception as exc:
-                self._fail_or_crash(exc)
-                return
-            if isinstance(target, Event):
-                self._waiting_on = target
+            if event._ok:
+                target = self._send(event._value)
+            else:
+                target = self._generator.throw(event._value)
+        except StopIteration as stop:
+            sim.active_process = None
+            self._wake = self._send = None
+            self.succeed(stop.value)
+            tracer = sim.tracer
+            if tracer.trace_processes:
+                tracer.process_finished(self)
+            return
+        except Exception as exc:
+            sim.active_process = None
+            self._wake = self._send = None
+            self.fail(exc)
+            sim.tracer.process_finished(self)
+            sim._note_process_failure(self, exc)
+            return
+        sim.active_process = None
+        # Inlined Event.add_callback. Anything without the event
+        # attributes is a bad yield; a waited child process is marked
+        # observed when its completion runs (see __call__).
+        try:
+            if target._processed:
                 if isinstance(target, Process):
                     target._ever_waited = True
-                if target._processed:
-                    sim._ready.append(_LateCall(self._resume, target))
-                else:
-                    target.callbacks.append(self._resume)
+                sim._ready.append(_LateCall(self._wake, target))
             else:
-                message = (
-                    f"process {self.name!r} yielded {target!r}; processes "
-                    "may only yield Event instances (use 'yield from' to "
-                    "call sub-generators)")
-                self._step(self._generator.throw, SimulationError(message))
-        finally:
-            if fl is not None:
-                fl.exit_process()
-            if hp is not None:
-                hp.exit()
+                target.callbacks.append(self._wake)
+        except AttributeError:
+            message = (
+                f"process {self.name!r} yielded {target!r}; processes "
+                "may only yield Event instances (use 'yield from' to "
+                "call sub-generators)")
+            self._resume(_Wake(False, SimulationError(message)))
+            return
+        self._waiting_on = target
 
-    def _fail_or_crash(self, exc):
-        self.fail(exc)
-        self.sim.tracer.process_finished(self)
-        self.sim._note_process_failure(self, exc)
+    def _resume_profiled(self, event):
+        """:meth:`_resume` under the host profiler: counts the wake-up
+        and charges its time to the ``resume`` bucket."""
+        hp = self.sim.hostprof
+        hp.resumes += 1
+        if not hp._timing:
+            # Unsampled event (stride sampling): the counter stays
+            # exact, bucket attribution is off.
+            self._resume(event)
+            return
+        hp.enter("resume")
+        try:
+            self._resume(event)
+        finally:
+            hp.exit()
+
+    def __call__(self):
+        # The completion's dispatch (Event._process inlined). A waiter
+        # that yielded this process is still in ``callbacks`` here, so
+        # this is where a failed process learns it was observed.
+        callbacks = self.callbacks
+        if callbacks:
+            self._ever_waited = True
+        self._processed = True
+        self.callbacks = None
+        for callback in callbacks:
+            callback(self)
 
     def __repr__(self):
         return f"<Process {self.name} {'done' if self._triggered else 'alive'}>"
@@ -245,7 +263,10 @@ class Simulator:
     ``tracer`` (default the no-op
     :data:`~repro.obs.trace.NULL_TRACER`), a utilization collector
     ``utilization`` (read when resources are constructed) and a flight
-    recorder ``flight`` (read by the process-context hooks).
+    recorder ``flight`` (read when processes are spawned).
+    ``active_process`` is the :class:`Process` whose generator is
+    running, None between steps; the flight recorder reads it to
+    attribute events to operations.
     ``events_executed`` counts queue entries run — a cheap health
     counter the metrics registry can absorb. (Tombstoned — cancelled —
     timers are skipped, not run, so they are not counted.)
@@ -261,6 +282,7 @@ class Simulator:
         self.tracer = NULL_TRACER
         self.utilization = None
         self.flight = None
+        self.active_process = None
         self.faults = None
         self.obs = None
         # Adopt the ambient host profiler, if one is active (None in
@@ -328,6 +350,8 @@ class Simulator:
         results are bit-identical with or without it. Also makes the
         profiler ambient (:func:`repro.obs.hostprof.activate`) so the
         codec hooks, which have no simulator handle, charge to it.
+        Install it before spawning processes: a process picks its
+        resume path, bracketed or not, when it is created.
         """
         self.hostprof = profiler
         _hostprof.activate(profiler)
@@ -471,6 +495,7 @@ class Simulator:
             self._raise_orphan_failures()
             return self._now
         ready = self._ready
+        popleft = ready.popleft
         queue = self._queue
         pop = heapq.heappop
         now = self._now
@@ -486,7 +511,7 @@ class Simulator:
                     obj.fire()
                 while ready:
                     executed += 1
-                    ready.popleft()()
+                    popleft()()
                 if not queue:
                     if until is not None:
                         self._now = until
@@ -519,6 +544,7 @@ class Simulator:
         """
         hp = self.hostprof
         ready = self._ready
+        popleft = ready.popleft
         queue = self._queue
         pop = heapq.heappop
         now = self._now
@@ -560,9 +586,9 @@ class Simulator:
                     executed += 1
                     ev += 1
                     if ev % stride:
-                        ready.popleft()()
+                        popleft()()
                     else:
-                        timed(ready.popleft())
+                        timed(popleft())
                     if process is not None and process._processed:
                         break
                 if process is not None and process._processed:
@@ -605,6 +631,7 @@ class Simulator:
             self._run_profiled(limit, process)
         else:
             ready = self._ready
+            popleft = ready.popleft
             queue = self._queue
             pop = heapq.heappop
             now = self._now
@@ -624,7 +651,7 @@ class Simulator:
                         break
                     while ready:
                         executed += 1
-                        ready.popleft()()
+                        popleft()()
                         if process._processed:
                             break
                     if process._processed:
@@ -661,8 +688,10 @@ class Simulator:
         self._failed_processes = []
         # A failure is "observed" if anything ever waited on the
         # process's completion event; otherwise it must not vanish.
+        # Waiters still in ``callbacks`` have not been marked yet: the
+        # run stopped before the completion was dispatched.
         orphans = [(process, exc) for process, exc in failures
-                   if not process._ever_waited]
+                   if not (process._ever_waited or process.callbacks)]
         if not orphans:
             return
         first_exc = orphans[0][1]

@@ -137,13 +137,17 @@ class Resource:
             hp = None
         if hp is None and self.monitor is None:
             # Fast path: no profiler, no utilization monitor — the
-            # common configuration for fig sweeps.
+            # common configuration for fig sweeps. The grant inlines
+            # ``Event.succeed`` (the event is new, so still pending).
             event = AcquireEvent(self)
             if self._in_use < self.capacity:
                 self._account()
                 self._in_use += 1
                 self._total_acquired += 1
-                event.succeed(self)
+                event._ok = True
+                event._value = self
+                event._triggered = True
+                self.sim._ready.append(event)
             else:
                 self._waiters.append(event)
             return event
@@ -196,7 +200,11 @@ class Resource:
                 if event.cancelled or event._triggered:
                     continue
                 self._total_acquired += 1
-                event.succeed(self)
+                # Inlined Event.succeed (the event is still pending).
+                event._ok = True
+                event._value = self
+                event._triggered = True
+                self.sim._ready.append(event)
                 return
             self._account()
             self._in_use -= 1

@@ -6,6 +6,7 @@ from repro.core import AccessViolation, ReadOp
 from repro.hw.layout import pack_bounded_ptr
 from repro.prism.address_space import DOMAIN_HOST, DOMAIN_SRAM
 from repro.prism.engine import OpStatus
+from repro.rdma.mr import AccessFlags
 
 
 def test_direct_read(harness):
@@ -86,6 +87,25 @@ def test_pointee_outside_granted_regions_naks(harness):
         ReadOp(addr=harness.base, length=8, rkey=harness.rkey,
                indirect=True))
     assert result.status is OpStatus.NAK
+    assert isinstance(result.error, AccessViolation)
+    assert str(result.error) == (
+        f"READ pointee: [{outside}, {outside + 8}) not covered by any "
+        f"region granted to connection {harness.connection.id}")
+
+
+def test_pointee_in_granted_region_lacking_permission_naks(harness):
+    # The pointee lies inside a granted region, but that region does
+    # not allow READ: covering the bytes is not enough.
+    start = harness.space.sbrk(64)
+    harness.connection.grant(
+        harness.regions.register(start, 64, AccessFlags.WRITE))
+    harness.space.write_ptr(harness.base, start)
+    result, _ = harness.run(
+        ReadOp(addr=harness.base, length=8, rkey=harness.rkey,
+               indirect=True))
+    assert result.status is OpStatus.NAK
+    assert isinstance(result.error, AccessViolation)
+    assert "not covered by any region granted" in str(result.error)
 
 
 def test_pointee_in_other_granted_region_allowed(harness):
